@@ -53,7 +53,7 @@ class ScriptedPredictor:
     def attach(self, engine) -> None:
         pass
 
-    def predict_both_modes(self, profile, history) -> dict:
+    def predict_both_modes(self, profile, history, deadline_s=None) -> dict:
         if profile.kind is WorkloadKind.LATENCY_CRITICAL:
             local = profile.base_p99_ms
             remote = profile.base_p99_ms * profile.remote_slowdown

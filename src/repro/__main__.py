@@ -697,7 +697,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 daemon = OrchestratorDaemon(config, envelope=envelope,
                                             plan=plan)
-        except CheckpointError as error:
+        except (CheckpointError, FaultPlanError, SafetyConfigError) as error:
             print(f"serve: {error}", file=sys.stderr)
             return 2
         daemon.paused = args.paused

@@ -14,6 +14,7 @@ the standard explicit-update scheme for analytic interference models.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "CapacityError",
     "RemoteUnavailableError",
     "NodeDownError",
+    "RetryEntry",
 ]
 
 
@@ -56,6 +58,20 @@ _RETRY_MAX_ATTEMPTS = 8
 #: one tick.  Worst case keeps the 8-attempt drop under ~287 simulated
 #: seconds (the un-jittered base is ~191 s).
 _RETRY_JITTER_FRAC = 0.5
+
+
+@dataclass
+class RetryEntry:
+    """A remote deployment parked in the outage retry queue."""
+
+    profile: WorkloadProfile
+    duration_s: float | None
+    #: Original decision time; it keys the audit-log join and the
+    #: journey journal across the park.
+    decided_s: float
+    next_attempt_s: float
+    backoff_s: float
+    attempts: int = 0
 
 
 class ClusterEngine:
@@ -98,10 +114,9 @@ class ClusterEngine:
         #: by an obs-enabled fleet; ``None`` keeps every lifecycle-hop
         #: site a single ``is not None`` test.
         self.journey = None
-        #: Deployments waiting out a remote outage: dicts with profile,
-        #: duration_s, next_attempt_s, backoff_s and attempts, retried
-        #: with exponential backoff at the start of each tick.
-        self._retry_queue: list[dict] = []
+        #: Deployments waiting out a remote outage, retried with
+        #: exponential backoff at the start of each tick.
+        self._retry_queue: list[RetryEntry] = []
         #: Seeded jitter source for retry backoff (checkpointed so a
         #: resumed run replays the same retry schedule bit-for-bit).
         self._retry_rng = np.random.default_rng(
@@ -227,14 +242,13 @@ class ClusterEngine:
         """
         decided = decided_s if decided_s is not None else self.now
         self._retry_queue.append(
-            {
-                "profile": profile,
-                "duration_s": duration_s,
-                "decided_s": decided,
-                "next_attempt_s": self.now + self.dt,
-                "backoff_s": self.dt,
-                "attempts": 0,
-            }
+            RetryEntry(
+                profile=profile,
+                duration_s=duration_s,
+                decided_s=decided,
+                next_attempt_s=self.now + self.dt,
+                backoff_s=self.dt,
+            )
         )
         if obs.enabled():
             obs.metrics().counter(
@@ -251,22 +265,20 @@ class ClusterEngine:
         return len(self._retry_queue)
 
     def _drain_retry_queue(self) -> None:
-        keep: list[dict] = []
+        keep: list[RetryEntry] = []
         for entry in self._retry_queue:
-            if entry["next_attempt_s"] > self.now + 1e-9:
+            if entry.next_attempt_s > self.now + 1e-9:
                 keep.append(entry)
                 continue
             try:
                 self.deploy(
-                    entry["profile"], MemoryMode.REMOTE,
-                    duration_s=entry["duration_s"],
-                    decided_s=entry.get("decided_s"),
+                    entry.profile, MemoryMode.REMOTE,
+                    duration_s=entry.duration_s,
+                    decided_s=entry.decided_s,
                 )
             except CapacityError:
-                entry["attempts"] += 1
-                decided = entry.get("decided_s")
-                decided = decided if decided is not None else self.now
-                if entry["attempts"] >= _RETRY_MAX_ATTEMPTS:
+                entry.attempts += 1
+                if entry.attempts >= _RETRY_MAX_ATTEMPTS:
                     self.dropped_retries += 1
                     if obs.enabled():
                         obs.metrics().counter(
@@ -276,20 +288,18 @@ class ClusterEngine:
                         ).labels(node=self.node_label or "n0").inc()
                     if self.journey is not None:
                         self.journey.hop(
-                            entry["profile"].name, decided, "dropped",
-                            self.now, attempts=entry["attempts"],
+                            entry.profile.name, entry.decided_s, "dropped",
+                            self.now, attempts=entry.attempts,
                         )
                     continue
-                entry["backoff_s"] = min(
-                    entry["backoff_s"] * 2.0, _RETRY_BACKOFF_CAP_S
-                )
+                entry.backoff_s = min(entry.backoff_s * 2.0, _RETRY_BACKOFF_CAP_S)
                 jitter = 1.0 + _RETRY_JITTER_FRAC * float(self._retry_rng.random())
-                entry["next_attempt_s"] = self.now + entry["backoff_s"] * jitter
+                entry.next_attempt_s = self.now + entry.backoff_s * jitter
                 if self.journey is not None:
                     self.journey.hop(
-                        entry["profile"].name, decided, "retry", self.now,
-                        attempt=entry["attempts"],
-                        backoff_s=entry["backoff_s"],
+                        entry.profile.name, entry.decided_s, "retry", self.now,
+                        attempt=entry.attempts,
+                        backoff_s=entry.backoff_s,
                     )
                 keep.append(entry)
             else:
@@ -471,31 +481,25 @@ class ClusterEngine:
         while self.now < end - 1e-9:
             self.tick()
 
-    def run_until_idle(self, max_seconds: float = 86400.0) -> None:
-        """Run until every deployment (and the retry queue) has drained."""
-        waited = 0.0
-        while (self.running or self._retry_queue) and waited < max_seconds:
-            self.tick()
-            waited += self.dt
-        if self.running or self._retry_queue:
-            raise RuntimeError(
-                f"{len(self.running)} deployments still running and "
-                f"{len(self._retry_queue)} queued after {max_seconds} s drain"
-            )
-
     def drain(self, max_seconds: float = 86400.0) -> bool:
-        """Best-effort :meth:`run_until_idle`: advance until every
-        deployment and retry-queue entry has drained or the deadline
-        passes; returns whether the engine is fully idle.  Unlike
-        :meth:`run_until_idle` a missed deadline is not an error — the
-        serving daemon parks whatever is still in flight into its
-        checkpoint instead of crashing the shutdown path.
+        """Advance until every deployment and retry-queue entry has
+        drained or ``max_seconds`` pass; returns whether the engine is
+        idle.  A missed deadline is not an error here — the serving
+        daemon checkpoints whatever is still in flight.
         """
         waited = 0.0
         while (self.running or self._retry_queue) and waited < max_seconds - 1e-9:
             self.tick()
             waited += self.dt
         return not (self.running or self._retry_queue)
+
+    def run_until_idle(self, max_seconds: float = 86400.0) -> None:
+        """:meth:`drain`, raising if anything is still busy at the deadline."""
+        if not self.drain(max_seconds):
+            raise RuntimeError(
+                f"{len(self.running)} deployments still running and "
+                f"{len(self._retry_queue)} queued after {max_seconds} s drain"
+            )
 
     # -- measurement helpers -------------------------------------------------
     def measure_isolated(

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.cluster.engine import CapacityError
+from repro.faults.checkpoint import lookup_profile, require_fields
 from repro.workloads.base import MemoryMode, WorkloadProfile
 
 __all__ = ["NodeHealth", "FailoverConfig", "FleetHealthManager"]
@@ -217,12 +218,11 @@ class FleetHealthManager:
             drained += 1
         engine.deployments = survivors
         for entry in engine._retry_queue:
-            decided = entry.get("decided_s")
             self._enqueue(
-                profile=entry["profile"],
+                profile=entry.profile,
                 mode=MemoryMode.REMOTE,
-                duration_s=entry["duration_s"],
-                decided_s=decided if decided is not None else now,
+                duration_s=entry.duration_s,
+                decided_s=entry.decided_s,
                 from_node=node,
                 cause="node_crash",
                 now=now,
@@ -438,28 +438,33 @@ class FleetHealthManager:
         }
 
     def load_state_dict(self, data: dict, profiles: dict) -> None:
-        self.statuses = dict(data.get("statuses", {}))
-        self._missed = {k: int(v) for k, v in data.get("missed", {}).items()}
+        require_fields(data, "health", (
+            "statuses", "missed", "failover_queue", "counters", "failovers",
+            "recovery_times", "drain_started_s", "device_factors",
+        ))
+        self.statuses = dict(data["statuses"])
+        self._missed = {k: int(v) for k, v in data["missed"].items()}
         self.failover_queue = []
-        for entry in data.get("failover_queue", []):
-            name = entry["profile"]
-            if name not in profiles:
-                raise KeyError(
-                    f"failover queue references unknown workload {name!r}"
-                )
+        for entry in data["failover_queue"]:
+            require_fields(entry, "failover entry", (
+                "profile", "mode", "duration_s", "decided_s", "from_node",
+                "cause",
+            ))
             self.failover_queue.append(
                 {
                     **entry,
-                    "profile": profiles[name],
+                    "profile": lookup_profile(profiles, entry["profile"]),
                     "mode": MemoryMode(entry["mode"]),
                 }
             )
-        self.counters.update(data.get("counters", {}))
+        self.counters.update(
+            require_fields(data["counters"], "health counters", tuple(self.counters))
+        )
         self.failovers = {
             (node, cause): int(count)
-            for node, cause, count in data.get("failovers", [])
+            for node, cause, count in data["failovers"]
         }
-        self.recovery_times = list(data.get("recovery_times", []))
-        self._drain_started_s = data.get("drain_started_s")
-        factors = data.get("device_factors", [1.0, 1.0])
-        self._device_factors = (float(factors[0]), float(factors[1]))
+        self.recovery_times = list(data["recovery_times"])
+        self._drain_started_s = data["drain_started_s"]
+        capacity, bandwidth = data["device_factors"]
+        self._device_factors = (float(capacity), float(bandwidth))

@@ -133,27 +133,6 @@ class ClusterFleet:
         #: must not (a replay is the same logical deployment moving).
         self.submitted = 0
 
-    def adopt_engine(self, index: int, engine: ClusterEngine) -> None:
-        """Wire a restored engine into lane ``index`` (resume path).
-
-        Checkpoint restore rebuilds engines from scratch; adopting one
-        re-applies the fleet-side wiring a plain
-        ``fleet.engines[index] = engine`` would silently drop: the pool
-        fits hook, the node label, and the journey recorder.
-        """
-        if not 0 <= index < self.n_nodes:
-            raise ValueError(
-                f"node index {index} out of range [0, {self.n_nodes})"
-            )
-        engine.node_label = f"n{index}"
-        if self.pool is not None:
-            engine.remote_fits_hook = self._pool_check(index)
-        if self.journal is not None:
-            from repro.obs.fleet.journey import NodeJourney
-
-            engine.journey = NodeJourney(self.journal, engine.node_label)
-        self.engines[index] = engine
-
     @property
     def n_nodes(self) -> int:
         return len(self.engines)
@@ -422,52 +401,37 @@ class ClusterFleet:
         while self._now < end - 1e-9:
             self.tick()
 
-    def run_until_idle(self, max_seconds: float = 86400.0) -> None:
-        """Run until every deployment *and* every retry queue has drained.
-
-        Mirrors :meth:`ClusterEngine.run_until_idle`: a fleet is not
-        idle while outage-parked deployments are still waiting in a
-        node's retry queue — draining on ``running`` alone would drop
-        them from the trace silently.
-        """
-        waited = 0.0
-        while (
+    def _busy(self) -> bool:
+        """Whether any deployment still runs or waits in a retry or
+        failover queue — draining on ``running`` alone would drop the
+        parked ones from the trace silently."""
+        return bool(
             any(engine.running for engine in self.engines)
             or self.queued_remote
             or self.pending_failover
-        ) and waited < max_seconds:
+        )
+
+    def drain(self, max_seconds: float = 86400.0) -> bool:
+        """Advance whole fleet ticks until the rack is idle or
+        ``max_seconds`` pass; returns whether it fully drained.  A missed
+        deadline is not an error here — the serving daemon checkpoints
+        whatever is still in flight.
+        """
+        waited = 0.0
+        while self._busy() and waited < max_seconds - 1e-9:
             self.tick()
             waited += self.dt
-        still_running = sum(len(engine.running) for engine in self.engines)
-        if still_running or self.queued_remote or self.pending_failover:
+        return not self._busy()
+
+    def run_until_idle(self, max_seconds: float = 86400.0) -> None:
+        """:meth:`drain`, raising if the rack is still busy at the deadline."""
+        if not self.drain(max_seconds):
+            still_running = sum(len(engine.running) for engine in self.engines)
             raise RuntimeError(
                 f"{still_running} deployments still running, "
                 f"{self.queued_remote} queued and {self.pending_failover} "
                 f"awaiting failover after {max_seconds} s drain"
             )
-
-    def drain(self, max_seconds: float = 86400.0) -> bool:
-        """Best-effort :meth:`run_until_idle` under one fleet clock.
-
-        Advances whole fleet ticks until every node is idle (no running
-        deployments, no outage-parked retries) or the deadline passes;
-        returns whether the rack fully drained.  A missed deadline is
-        not an error: the serving daemon checkpoints whatever is still
-        in flight rather than failing its shutdown path.
-        """
-        waited = 0.0
-        while (
-            any(engine.running for engine in self.engines)
-            or self.queued_remote
-            or self.pending_failover
-        ) and waited < max_seconds - 1e-9:
-            self.tick()
-            waited += self.dt
-        return not (
-            any(engine.running for engine in self.engines)
-            or self.queued_remote
-            or self.pending_failover
-        )
 
     # -- queries -----------------------------------------------------------
     def records(self) -> list[DeploymentRecord]:

@@ -6,14 +6,14 @@ shape (advance-to-arrival, place, drain) but drives a whole
 — per-engine ``now`` never drifts because only :meth:`ClusterFleet.tick`
 advances time.  Fault plans armed via ``repro.faults.runtime`` apply to
 every node (a rack-fabric event), each node drawing from its own
-deterministic RNG stream; checkpoints reuse the engine serializers from
+deterministic RNG stream; checkpoints go through the shared codec in
 :mod:`repro.faults.checkpoint` so a resumed fleet run is bit-identical
 to an uninterrupted one.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -24,7 +24,20 @@ from repro.cluster.fleet import ClusterFleet, FleetDecision
 from repro.cluster.scenario import (
     Arrival,
     ScenarioConfig,
+    default_pool,
     generate_arrivals,
+)
+from repro.faults.checkpoint import (
+    dataclass_from_dict,
+    fleet_state,
+    load_fleet_state,
+    policy_state,
+    read_checkpoint,
+    require_fields,
+    restore_injectors,
+    restore_policy,
+    scenario_config,
+    write_checkpoint,
 )
 from repro.hardware.config import TestbedConfig
 from repro.hardware.pool import RemotePoolConfig
@@ -40,8 +53,6 @@ __all__ = [
 
 #: A fleet scheduler maps (profile, fleet) -> FleetDecision at arrival time.
 FleetScheduler = Callable[[WorkloadProfile, ClusterFleet], FleetDecision]
-
-FLEET_CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -267,26 +278,6 @@ def _fleet_replay(
 
 
 # -- checkpointing -------------------------------------------------------------
-def _pool_config_to_dict(pool: RemotePoolConfig | None) -> dict | None:
-    if pool is None:
-        return None
-    return {
-        "capacity_gb": pool.capacity_gb,
-        "aggregate_bw_gbps": pool.aggregate_bw_gbps,
-        "regime": pool.regime.value,
-    }
-
-
-def _pool_config_from_dict(data: dict | None) -> RemotePoolConfig | None:
-    if data is None:
-        return None
-    return RemotePoolConfig(
-        capacity_gb=data["capacity_gb"],
-        aggregate_bw_gbps=data["aggregate_bw_gbps"],
-        regime=data["regime"],
-    )
-
-
 def save_fleet_checkpoint(
     path,
     *,
@@ -297,53 +288,30 @@ def save_fleet_checkpoint(
     policy=None,
 ) -> Path:
     """Atomically write a fleet resume point (all nodes + fleet clock)."""
-    from repro.faults.checkpoint import _engine_to_dict, _scenario_to_dict
-    from repro.obs.fsio import atomic_write_text
-
-    policy_state = None
-    if policy is not None and hasattr(policy, "state_dict"):
-        policy_state = policy.state_dict()
-    payload = {
-        "version": FLEET_CHECKPOINT_VERSION,
-        "scenario": _scenario_to_dict(config.scenario),
-        "n_nodes": config.n_nodes,
-        "pool": _pool_config_to_dict(config.pool),
-        "arrivals_done": arrivals_done,
-        "now": fleet.now,
-        "pool_throttled_ticks": fleet.pool_throttled_ticks,
-        "submitted": fleet.submitted,
-        "health": fleet.health.state_dict() if fleet.health is not None else None,
-        "engines": [_engine_to_dict(engine) for engine in fleet.engines],
-        "injectors": (
+    return write_checkpoint(
+        path,
+        "fleet",
+        config=dataclasses.asdict(config),
+        arrivals_done=arrivals_done,
+        fleet=fleet_state(fleet),
+        injectors=(
             [injector.state_dict() for injector in injectors]
             if injectors
             else None
         ),
-        "policy": policy_state,
-    }
-    return atomic_write_text(path, json.dumps(payload) + "\n")
+        policy=policy_state(policy),
+    )
 
 
 def load_fleet_checkpoint(path) -> dict:
-    """Read and structurally validate a fleet checkpoint file."""
-    from repro.faults.errors import CheckpointError
+    """Read a fleet checkpoint (see :func:`repro.faults.checkpoint.read_checkpoint`)."""
+    return read_checkpoint(path, "fleet")
 
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"no fleet checkpoint at {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise CheckpointError(f"corrupt fleet checkpoint {path}: {error}") from None
-    if not isinstance(data, dict) or data.get("version") != FLEET_CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported fleet checkpoint version {data.get('version')!r} "
-            f"(expected {FLEET_CHECKPOINT_VERSION})"
-        )
-    missing = {"scenario", "n_nodes", "arrivals_done", "engines"} - set(data)
-    if missing:
-        raise CheckpointError(f"fleet checkpoint missing fields {sorted(missing)}")
-    return data
+
+def _pool_config(data) -> RemotePoolConfig | None:
+    if data is None:
+        return None
+    return dataclass_from_dict(RemotePoolConfig, data, "pool config")
 
 
 def resume_fleet_scenario(
@@ -356,80 +324,43 @@ def resume_fleet_scenario(
 ) -> ClusterFleet:
     """Resume a fleet replay; the completed run is bit-identical.
 
-    The fleet skeleton (per-node testbed configs, pool wiring, fits
-    hooks) is rebuilt from the checkpointed config exactly as
+    The fleet skeleton (per-node testbed configs, tick, pool wiring,
+    fits hooks) is rebuilt from the checkpointed config exactly as
     :func:`run_fleet_scenario` would, then each node's engine state is
-    restored in place — so counter-noise RNGs, retry queues and traces
-    resume mid-stream.
+    loaded into it in place — so counter-noise RNGs, retry queues and
+    traces resume mid-stream.
     """
-    from repro.cluster.scenario import default_pool
-    from repro.faults.checkpoint import (
-        _engine_from_dict,
-        _scenario_from_dict,
-    )
-
     data = load_fleet_checkpoint(path)
-    scenario = _scenario_from_dict(data["scenario"])
-    config = FleetScenarioConfig(
-        scenario=scenario,
-        n_nodes=data["n_nodes"],
-        pool=_pool_config_from_dict(data.get("pool")),
+    config = dataclass_from_dict(
+        FleetScenarioConfig, data["config"], "fleet config",
+        scenario=scenario_config, pool=_pool_config,
     )
     pool_profiles = (
         list(workload_pool) if workload_pool is not None else default_pool()
     )
     profiles = {p.name: p for p in pool_profiles}
     base = testbed_config if testbed_config is not None else TestbedConfig(
-        seed=scenario.seed
+        seed=config.scenario.seed
     )
+    state = require_fields(data["fleet"], "fleet", ("dt",))
     fleet = ClusterFleet(
-        n_nodes=config.n_nodes, testbed_config=base, pool=config.pool
+        n_nodes=config.n_nodes, testbed_config=base, dt=state["dt"],
+        pool=config.pool,
     )
-    for index, saved in enumerate(data["engines"]):
-        # The skeleton engine's testbed config already carries the
-        # per-node seed and pool-derived remote ceiling; adoption
-        # re-applies the fleet wiring (fits hook, node label, journey).
-        engine = _engine_from_dict(
-            saved, fleet.engines[index].testbed.config, profiles
-        )
-        fleet.adopt_engine(index, engine)
-    fleet._now = data["now"]
-    fleet.pool_throttled_ticks = data.get("pool_throttled_ticks", 0)
-    fleet.submitted = int(data.get("submitted", 0))
+    injectors: list = []
 
-    injectors = None
-    if data.get("injectors"):
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan
+    def attach(fleet: ClusterFleet) -> None:
+        if data["injectors"] is not None:
+            injectors.extend(restore_injectors(
+                data["injectors"], fleet.engines, _fleet_predictor(scheduler)
+            ))
+            _attach_health(fleet, injectors[0].plan, scheduler)
 
-        predictor = _fleet_predictor(scheduler)
-        injectors = []
-        for index, saved in enumerate(data["injectors"]):
-            injector = FaultInjector(
-                FaultPlan.from_dict(saved["plan"]),
-                scenario_seed=saved["scenario_seed"],
-            )
-            injector.attach(
-                fleet.engines[index],
-                predictor=predictor if index == 0 else None,
-            )
-            injector.load_state_dict(saved)
-            injectors.append(injector)
-
-    if injectors:
-        manager = _attach_health(fleet, injectors[0].plan, scheduler)
-        if manager is not None and data.get("health") is not None:
-            manager.load_state_dict(data["health"], profiles)
-
-    if (
-        scheduler is not None
-        and data.get("policy") is not None
-        and hasattr(scheduler, "load_state_dict")
-    ):
-        scheduler.load_state_dict(data["policy"])
+    load_fleet_state(fleet, state, profiles, attach=attach)
+    restore_policy(scheduler, data["policy"])
 
     arrivals = generate_arrivals(
-        scenario, pool=workload_pool, random_modes=scheduler is None
+        config.scenario, pool=workload_pool, random_modes=scheduler is None
     )
     return _fleet_replay(
         config,
@@ -437,7 +368,7 @@ def resume_fleet_scenario(
         fleet,
         arrivals,
         start_index=data["arrivals_done"],
-        injectors=injectors,
+        injectors=injectors or None,
         checkpoint_path=checkpoint_path,
         checkpoint_every_s=checkpoint_every_s,
     )

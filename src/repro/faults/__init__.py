@@ -11,14 +11,15 @@ The subsystem has two halves:
   of it: the AdriasPolicy runs a decision deadline plus a
   :class:`CircuitBreaker` over a fallback chain, the feature pipeline
   imputes telemetry gaps, the engine re-queues remote deployments
-  during outages, and replays checkpoint/resume crash-safely
-  (``repro.faults.checkpoint``).
+  during outages, and replays, fleets and the daemon checkpoint/resume
+  crash-safely through one codec (``repro.faults.checkpoint``).
 
 Arm a plan process-wide with :func:`activate` /
 :func:`active_plan`; ``run_scenario`` attaches a fresh injector per
 policy-driven replay while a plan is armed and stays bit-identical when
-none is.  ``repro.faults.checkpoint`` is imported on demand (it pulls
-in the cluster layer).
+none is.  ``repro.faults.checkpoint`` imports the cluster layer only
+inside its functions, so every stateful part can import its field
+check.
 """
 
 from repro.faults.breaker import CircuitBreaker, CircuitState

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 
 from repro import obs
+from repro.faults.checkpoint import require_fields
 
 __all__ = ["CircuitState", "CircuitBreaker"]
 
@@ -134,7 +135,10 @@ class CircuitBreaker:
         }
 
     def load_state_dict(self, data: dict) -> None:
+        require_fields(data, "breaker", (
+            "state", "consecutive_failures", "opened_at", "transitions",
+        ))
         self.state = CircuitState(data["state"])
         self.consecutive_failures = int(data["consecutive_failures"])
         self.opened_at = data["opened_at"]
-        self.transitions = [tuple(t) for t in data.get("transitions", [])]
+        self.transitions = [tuple(t) for t in data["transitions"]]

@@ -1,288 +1,393 @@
-"""Crash-safe checkpoint/resume for scenario replays.
+"""The checkpoint codec shared by scenario replays, fleets and the daemon.
 
 A checkpoint captures everything a resumed process needs to reproduce
-the remainder of a replay *bit-identically*: the engine (clock,
-deployments, trace, outage retry queue, counter-noise RNG), the fault
-injector (plan + RNG + open windows) and the policy (circuit breaker,
-RNG, captured signatures).  Arrivals are NOT stored — they are
-regenerated from the scenario config's seed, and only the index of the
-next arrival is recorded.
+the rest of a run *bit-identically*: engine state (clock, deployments,
+trace, outage retry queue, counter-noise and retry-jitter RNGs), fault
+injectors (plan + RNG + open windows), fleet health, and the policy
+(circuit breaker, RNG, captured signatures).  Arrivals are NOT stored —
+they are regenerated from the scenario config's seed, and only the index
+of the next arrival is recorded.
 
-Checkpoints are JSON written through
-:func:`repro.obs.fsio.atomic_write_text`, so a crash mid-write leaves
-the previous checkpoint intact.  Floats survive exactly (``repr``-based
-JSON round-trips IEEE doubles, including the NaNs that telemetry faults
-plant in counter rows).
+Every checkpoint kind is one JSON object, version
+:data:`CHECKPOINT_VERSION`, whose top-level parts are listed in
+:data:`LAYOUTS`.  :func:`write_checkpoint` writes it atomically
+(:func:`repro.obs.fsio.atomic_write_text`), so a crash mid-write leaves
+the previous checkpoint intact; :func:`read_checkpoint` checks that the
+file exists, parses, carries this version and every part.  Each part's
+loader then checks its own fields through :func:`require_fields`, so a
+stale or hand-edited file fails with a :class:`CheckpointError` naming
+the missing field — never a bare ``KeyError``.  Floats survive exactly
+(``repr``-based JSON round-trips IEEE doubles, including the NaNs that
+telemetry faults plant in counter rows).
+
+Engine and fleet state each have one serializer pair; the loaders fill
+*skeleton* objects in place — built exactly as the original run built
+them — so fleet wiring (pool fits hooks, node labels, journeys, live
+streams, finish hooks) is never rebuilt by hand.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.deployment import Deployment, DeploymentRecord, DeploymentState
-from repro.cluster.engine import ClusterEngine
-from repro.cluster.scenario import (
-    ScenarioConfig,
-    _replay,
-    default_pool,
-    generate_arrivals,
-)
 from repro.faults.errors import CheckpointError
-from repro.hardware.config import TestbedConfig
-from repro.hardware.testbed import Testbed
 from repro.obs.fsio import atomic_write_text
 from repro.workloads.base import MemoryMode, WorkloadKind
 
-__all__ = ["save_checkpoint", "load_checkpoint", "resume_scenario"]
+__all__ = [
+    "CHECKPOINT_VERSION",
+    "LAYOUTS",
+    "write_checkpoint",
+    "read_checkpoint",
+    "require_fields",
+    "dataclass_from_dict",
+    "scenario_config",
+    "lookup_profile",
+    "engine_state",
+    "load_engine_state",
+    "fleet_state",
+    "load_fleet_state",
+    "restore_injectors",
+    "policy_state",
+    "restore_policy",
+    "save_checkpoint",
+    "load_checkpoint",
+    "resume_scenario",
+]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+#: Top-level parts of each checkpoint kind, in file order (after
+#: ``version``).
+LAYOUTS = {
+    "scenario": ("scenario", "arrivals_done", "engine", "injector", "policy"),
+    "fleet": ("config", "arrivals_done", "fleet", "injectors", "policy"),
+    "daemon": (
+        "config", "envelope", "plan", "fleet", "breaker", "policy",
+        "safety", "ledger", "next_id", "counters", "cleared_wedges",
+    ),
+}
 
 
-# -- serialization helpers ----------------------------------------------------
-def _require(data: dict, key: str, where: str):
-    """Index a required checkpoint field with a diagnosable failure.
+# -- file envelope -------------------------------------------------------------
+def write_checkpoint(path, kind: str, **parts) -> Path:
+    """Atomically write one ``kind`` checkpoint made of ``parts``."""
+    if tuple(parts) != LAYOUTS[kind]:
+        raise ValueError(
+            f"{kind} checkpoint parts {list(parts)} do not match the "
+            f"layout {list(LAYOUTS[kind])}"
+        )
+    payload = {"version": CHECKPOINT_VERSION, **parts}
+    return atomic_write_text(path, json.dumps(payload) + "\n")
 
-    Payloads from an older format (or hand-edited ones) surface as a
-    clear :class:`CheckpointError` naming the missing field instead of
-    an opaque ``KeyError`` from deep inside the deserializers.
-    """
+
+def read_checkpoint(path, kind: str) -> dict:
+    """Read a ``kind`` checkpoint: it exists, parses, is v2, has every part."""
+    path = Path(path)
+    if not path.exists():
+        raise CheckpointError(f"no {kind} checkpoint at {path}")
     try:
-        return data[key]
-    except KeyError:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        raise CheckpointError(f"corrupt {kind} checkpoint {path}: {error}") from None
+    version = data.get("version") if isinstance(data, dict) else None
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"stale or truncated checkpoint: {where} payload is missing "
-            f"field {key!r} — re-create the checkpoint with this version"
-        ) from None
+            f"unsupported {kind} checkpoint version {version!r} "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    return require_fields(data, f"{kind} checkpoint", LAYOUTS[kind])
 
 
-def _scenario_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "duration_s": config.duration_s,
-        "spawn_interval": list(config.spawn_interval),
-        "seed": config.seed,
-        "interference_duration": list(config.interference_duration),
-        "drain": config.drain,
-    }
+def require_fields(data, where: str, names) -> dict:
+    """Return ``data`` once it is an object carrying every field in ``names``.
+
+    Every part's loader validates its payload through here before
+    reading it.
+    """
+    if not isinstance(data, dict):
+        raise CheckpointError(
+            f"stale or truncated checkpoint: {where} is not an object"
+        )
+    missing = [name for name in names if name not in data]
+    if missing:
+        raise CheckpointError(
+            f"stale or truncated checkpoint: {where} is missing fields "
+            f"{missing} — re-create the checkpoint with this version"
+        )
+    return data
 
 
-def _scenario_from_dict(data: dict) -> ScenarioConfig:
-    return ScenarioConfig(
-        duration_s=_require(data, "duration_s", "scenario"),
-        spawn_interval=tuple(_require(data, "spawn_interval", "scenario")),
-        seed=_require(data, "seed", "scenario"),
-        interference_duration=tuple(
-            _require(data, "interference_duration", "scenario")
-        ),
-        drain=_require(data, "drain", "scenario"),
+def _fields_to_dict(obj, **encode) -> dict:
+    """A dataclass instance as a dict in field order; ``encode`` maps a
+    field name to the callable that makes its value JSON-ready."""
+    out = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    for name, encoder in encode.items():
+        out[name] = encoder(out[name])
+    return out
+
+
+def dataclass_from_dict(cls, data, where: str, **decode):
+    """Rebuild dataclass ``cls`` from its field dict.
+
+    Missing and unknown fields are both errors; ``decode`` maps a field
+    name to the callable that rebuilds its value (tuples, enums, nested
+    configs, workload profiles).
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    require_fields(data, where, names)
+    unknown = sorted(set(data) - set(names))
+    if unknown:
+        raise CheckpointError(f"{where} has unknown fields {unknown}")
+    values = {name: data[name] for name in names}
+    for name, decoder in decode.items():
+        values[name] = decoder(values[name])
+    return cls(**values)
+
+
+def scenario_config(data):
+    """The :class:`ScenarioConfig` part of a scenario or fleet checkpoint."""
+    from repro.cluster.scenario import ScenarioConfig
+
+    return dataclass_from_dict(
+        ScenarioConfig, data, "scenario config",
+        spawn_interval=tuple, interference_duration=tuple,
     )
 
 
-def _deployment_to_dict(d: Deployment) -> dict:
-    return {
-        "app_id": d.app_id,
-        "profile": d.profile.name,
-        "mode": d.mode.value,
-        "arrival_time": d.arrival_time,
-        "duration_s": d.duration_s,
-        "decided_s": d.decided_s,
-        "state": d.state.value,
-        "finish_time": d.finish_time,
-        "progress_s": d.progress_s,
-        "served_ops": d.served_ops,
-        "slowdown_sum": d._slowdown_sum,
-        "slowdown_ticks": d._slowdown_ticks,
-        "p99_samples": list(d.p99_samples),
-        "p999_samples": list(d.p999_samples),
-        "link_traffic_gb": d.link_traffic_gb,
-    }
-
-
-def _deployment_from_dict(data: dict, profiles: dict) -> Deployment:
-    name = _require(data, "profile", "deployment")
+def lookup_profile(profiles: dict, name: str):
+    """The workload a checkpoint names, from the resuming run's pool."""
     try:
-        profile = profiles[name]
+        return profiles[name]
     except KeyError:
         raise CheckpointError(
             f"checkpoint references unknown workload {name!r}; "
             "resume with the pool the original run used"
         ) from None
-    deployment = Deployment(
-        app_id=_require(data, "app_id", "deployment"),
-        profile=profile,
-        mode=MemoryMode(_require(data, "mode", "deployment")),
-        arrival_time=_require(data, "arrival_time", "deployment"),
-        duration_s=_require(data, "duration_s", "deployment"),
-        decided_s=data.get("decided_s"),
-    )
-    deployment.state = DeploymentState(_require(data, "state", "deployment"))
-    deployment.finish_time = _require(data, "finish_time", "deployment")
-    deployment.progress_s = _require(data, "progress_s", "deployment")
-    deployment.served_ops = _require(data, "served_ops", "deployment")
-    deployment._slowdown_sum = _require(data, "slowdown_sum", "deployment")
-    deployment._slowdown_ticks = _require(data, "slowdown_ticks", "deployment")
-    deployment.p99_samples = list(_require(data, "p99_samples", "deployment"))
-    deployment.p999_samples = list(_require(data, "p999_samples", "deployment"))
-    deployment.link_traffic_gb = _require(data, "link_traffic_gb", "deployment")
-    return deployment
 
 
-def _record_to_dict(r: DeploymentRecord) -> dict:
-    return {
-        "app_id": r.app_id,
-        "name": r.name,
-        "kind": r.kind.value,
-        "mode": r.mode.value,
-        "arrival_time": r.arrival_time,
-        "finish_time": r.finish_time,
-        "runtime_s": r.runtime_s,
-        "p99_ms": r.p99_ms,
-        "p999_ms": r.p999_ms,
-        "mean_slowdown": r.mean_slowdown,
-        "link_traffic_gb": r.link_traffic_gb,
-        "decided_s": r.decided_s,
-    }
+# -- engine state --------------------------------------------------------------
+_ENGINE_FIELDS = (
+    "now", "dt", "next_app_id", "remote_blocked", "retry_queue",
+    "counter_rng", "retry_rng", "dropped_retries", "dead", "deployments",
+    "trace",
+)
+_TRACE_FIELDS = ("times", "rows", "concurrency", "records")
+_name = attrgetter("name")
+_value = attrgetter("value")
 
 
-def _record_from_dict(data: dict) -> DeploymentRecord:
-    return DeploymentRecord(
-        app_id=_require(data, "app_id", "record"),
-        name=_require(data, "name", "record"),
-        kind=WorkloadKind(_require(data, "kind", "record")),
-        mode=MemoryMode(_require(data, "mode", "record")),
-        arrival_time=_require(data, "arrival_time", "record"),
-        finish_time=_require(data, "finish_time", "record"),
-        runtime_s=_require(data, "runtime_s", "record"),
-        p99_ms=_require(data, "p99_ms", "record"),
-        p999_ms=_require(data, "p999_ms", "record"),
-        mean_slowdown=_require(data, "mean_slowdown", "record"),
-        link_traffic_gb=_require(data, "link_traffic_gb", "record"),
-        decided_s=data.get("decided_s"),
-    )
-
-
-def _engine_to_dict(engine: ClusterEngine) -> dict:
+def engine_state(engine) -> dict:
+    """One engine's resumable state (the inverse of :func:`load_engine_state`)."""
     return {
         "now": engine.now,
         "dt": engine.dt,
         "next_app_id": engine._next_app_id,
         "remote_blocked": engine.remote_blocked,
         "retry_queue": [
-            {**entry, "profile": entry["profile"].name}
-            for entry in engine._retry_queue
+            _fields_to_dict(entry, profile=_name) for entry in engine._retry_queue
         ],
         "counter_rng": engine.testbed.counters._rng.bit_generator.state,
         "retry_rng": engine._retry_rng.bit_generator.state,
         "dropped_retries": engine.dropped_retries,
         "dead": engine.dead,
-        "deployments": [_deployment_to_dict(d) for d in engine.deployments],
+        "deployments": [
+            _fields_to_dict(d, profile=_name, mode=_value, state=_value)
+            for d in engine.deployments
+        ],
         "trace": {
             "times": list(engine.trace.times),
             "rows": [row.tolist() for row in engine.trace._counter_rows],
             "concurrency": list(engine.trace.concurrency),
-            "records": [_record_to_dict(r) for r in engine.trace.records],
+            "records": [
+                _fields_to_dict(r, kind=_value, mode=_value)
+                for r in engine.trace.records
+            ],
         },
     }
 
 
-def _engine_from_dict(
-    data: dict, testbed_config: TestbedConfig, profiles: dict
-) -> ClusterEngine:
-    engine = ClusterEngine(
-        testbed=Testbed(testbed_config), dt=_require(data, "dt", "engine")
+def load_engine_state(engine, data, profiles: dict) -> None:
+    """Load :func:`engine_state` output into a fresh skeleton engine.
+
+    The skeleton is built with the original run's testbed config and
+    tick; everything wired onto it (fits hook, node label, journey,
+    finish and tick hooks, live stream) is kept as built.
+    """
+    from repro.cluster.deployment import (
+        Deployment,
+        DeploymentRecord,
+        DeploymentState,
     )
-    engine.now = _require(data, "now", "engine")
-    engine._next_app_id = _require(data, "next_app_id", "engine")
-    engine.remote_blocked = _require(data, "remote_blocked", "engine")
-    for entry in _require(data, "retry_queue", "engine"):
-        name = _require(entry, "profile", "retry-queue")
-        if name not in profiles:
-            raise CheckpointError(
-                f"retry queue references unknown workload {name!r}"
-            )
-        engine._retry_queue.append({**entry, "profile": profiles[name]})
-    engine.testbed.counters._rng.bit_generator.state = _require(
-        data, "counter_rng", "engine"
-    )
-    # Added after v1 checkpoints shipped; absent fields keep defaults so
-    # older payloads still resume.
-    if data.get("retry_rng") is not None:
-        engine._retry_rng.bit_generator.state = data["retry_rng"]
-    engine.dropped_retries = int(data.get("dropped_retries", 0))
-    engine.dead = bool(data.get("dead", False))
+    from repro.cluster.engine import RetryEntry
+
+    require_fields(data, "engine", _ENGINE_FIELDS)
+    if data["dt"] != engine.dt:
+        raise CheckpointError(
+            f"engine checkpoint ticks at dt={data['dt']!r}, "
+            f"the engine at dt={engine.dt!r}"
+        )
+    profile = partial(lookup_profile, profiles)
+    engine.now = data["now"]
+    engine._next_app_id = data["next_app_id"]
+    engine.remote_blocked = data["remote_blocked"]
+    engine._retry_queue = [
+        dataclass_from_dict(RetryEntry, entry, "retry-queue entry", profile=profile)
+        for entry in data["retry_queue"]
+    ]
+    engine.testbed.counters._rng.bit_generator.state = data["counter_rng"]
+    engine._retry_rng.bit_generator.state = data["retry_rng"]
+    engine.dropped_retries = data["dropped_retries"]
+    engine.dead = data["dead"]
     engine.deployments = [
-        _deployment_from_dict(d, profiles)
-        for d in _require(data, "deployments", "engine")
+        dataclass_from_dict(
+            Deployment, d, "deployment",
+            profile=profile, mode=MemoryMode, state=DeploymentState,
+        )
+        for d in data["deployments"]
     ]
-    trace = _require(data, "trace", "engine")
-    engine.trace.times = list(_require(trace, "times", "trace"))
+    trace = require_fields(data["trace"], "trace", _TRACE_FIELDS)
+    engine.trace.times = list(trace["times"])
     engine.trace._counter_rows = [
-        np.asarray(row, dtype=np.float64)
-        for row in _require(trace, "rows", "trace")
+        np.asarray(row, dtype=np.float64) for row in trace["rows"]
     ]
-    engine.trace.concurrency = list(_require(trace, "concurrency", "trace"))
+    engine.trace.concurrency = list(trace["concurrency"])
     engine.trace.records = [
-        _record_from_dict(r) for r in _require(trace, "records", "trace")
+        dataclass_from_dict(
+            DeploymentRecord, r, "record", kind=WorkloadKind, mode=MemoryMode
+        )
+        for r in trace["records"]
     ]
-    return engine
 
 
-# -- public API ---------------------------------------------------------------
+# -- fleet state ---------------------------------------------------------------
+_FLEET_FIELDS = (
+    "now", "dt", "pool_throttled_ticks", "submitted", "health", "engines",
+)
+
+
+def fleet_state(fleet) -> dict:
+    """A rack's resumable state (the inverse of :func:`load_fleet_state`)."""
+    return {
+        "now": fleet.now,
+        "dt": fleet.dt,
+        "pool_throttled_ticks": fleet.pool_throttled_ticks,
+        "submitted": fleet.submitted,
+        "health": fleet.health.state_dict() if fleet.health is not None else None,
+        "engines": [engine_state(engine) for engine in fleet.engines],
+    }
+
+
+def load_fleet_state(fleet, data, profiles: dict, attach=None) -> None:
+    """Load :func:`fleet_state` output into a skeleton fleet, in place.
+
+    Engines and the fleet clock are restored first.  ``attach(fleet)``
+    then runs — the fleet replay re-attaches its fault injectors there,
+    which must see the restored engine clocks, and its health manager —
+    and the health state loads last into ``fleet.health``.
+    """
+    require_fields(data, "fleet", _FLEET_FIELDS)
+    if len(data["engines"]) != fleet.n_nodes:
+        raise CheckpointError(
+            f"checkpoint has {len(data['engines'])} engines for a "
+            f"{fleet.n_nodes}-node fleet"
+        )
+    for engine, saved in zip(fleet.engines, data["engines"]):
+        load_engine_state(engine, saved, profiles)
+    fleet._now = data["now"]
+    fleet.pool_throttled_ticks = data["pool_throttled_ticks"]
+    fleet.submitted = data["submitted"]
+    if attach is not None:
+        attach(fleet)
+    if (data["health"] is None) != (fleet.health is None):
+        raise CheckpointError(
+            "checkpoint health state does not match the fleet's fault plan"
+        )
+    if fleet.health is not None:
+        fleet.health.load_state_dict(data["health"], profiles)
+
+
+# -- injectors and policies ----------------------------------------------------
+def restore_injectors(states, engines, predictor=None) -> list:
+    """Rebuild one saved :class:`FaultInjector` per (restored) engine.
+
+    ``FaultInjector.attach`` evaluates fault windows at the engine's
+    clock, so this runs after the engines are loaded.  The shared
+    predictor's chaos shim goes on the first engine's injector only.
+    """
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
+
+    if len(states) != len(engines):
+        raise CheckpointError(
+            f"checkpoint has {len(states)} injectors for {len(engines)} engines"
+        )
+    injectors = []
+    for index, (engine, saved) in enumerate(zip(engines, states)):
+        require_fields(saved, "injector", ("plan", "scenario_seed"))
+        injector = FaultInjector(
+            FaultPlan.from_dict(saved["plan"]),
+            scenario_seed=saved["scenario_seed"],
+        )
+        injector.attach(engine, predictor=predictor if index == 0 else None)
+        injector.load_state_dict(saved)
+        injectors.append(injector)
+    return injectors
+
+
+def policy_state(policy) -> dict | None:
+    """The policy's checkpoint state, or ``None`` for stateless policies."""
+    return policy.state_dict() if hasattr(policy, "state_dict") else None
+
+
+def restore_policy(policy, state) -> None:
+    """Load a saved policy state into the caller's policy object."""
+    if state is not None and hasattr(policy, "load_state_dict"):
+        policy.load_state_dict(state)
+
+
+# -- scenario replays ----------------------------------------------------------
 def save_checkpoint(
     path,
     *,
-    config: ScenarioConfig,
-    engine: ClusterEngine,
+    config,
+    engine,
     arrivals_done: int,
     injector=None,
     policy=None,
 ) -> Path:
-    """Atomically write a resume point covering engine, injector, policy.
+    """Atomically write a scenario resume point.
 
     ``arrivals_done`` is the index of the next arrival to process; the
     arrival list itself is regenerated from ``config`` on resume.
     """
-    policy_state = None
-    if policy is not None and hasattr(policy, "state_dict"):
-        policy_state = policy.state_dict()
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "scenario": _scenario_to_dict(config),
-        "arrivals_done": arrivals_done,
-        "engine": _engine_to_dict(engine),
-        "injector": injector.state_dict() if injector is not None else None,
-        "policy": policy_state,
-    }
-    return atomic_write_text(path, json.dumps(payload) + "\n")
+    return write_checkpoint(
+        path,
+        "scenario",
+        scenario=dataclasses.asdict(config),
+        arrivals_done=arrivals_done,
+        engine=engine_state(engine),
+        injector=injector.state_dict() if injector is not None else None,
+        policy=policy_state(policy),
+    )
 
 
 def load_checkpoint(path) -> dict:
-    """Read and structurally validate a checkpoint file."""
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"no checkpoint at {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise CheckpointError(f"corrupt checkpoint {path}: {error}") from None
-    if not isinstance(data, dict) or data.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {data.get('version')!r} "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    missing = {"scenario", "arrivals_done", "engine"} - set(data)
-    if missing:
-        raise CheckpointError(f"checkpoint missing fields {sorted(missing)}")
-    return data
+    """Read a scenario checkpoint (see :func:`read_checkpoint`)."""
+    return read_checkpoint(path, "scenario")
 
 
 def resume_scenario(
     path,
     scheduler=None,
     pool=None,
-    testbed_config: TestbedConfig | None = None,
+    testbed_config=None,
     checkpoint_path=None,
     checkpoint_every_s: float | None = None,
 ):
@@ -294,35 +399,26 @@ def resume_scenario(
     the policy exposes one.  The resumed run's final trace is
     bit-identical to the uninterrupted run's.
     """
+    from repro.cluster.engine import ClusterEngine
+    from repro.cluster.scenario import _replay, default_pool, generate_arrivals
+    from repro.hardware.config import TestbedConfig
+    from repro.hardware.testbed import Testbed
+
     data = load_checkpoint(path)
-    config = _scenario_from_dict(data["scenario"])
+    config = scenario_config(data["scenario"])
     workload_pool = list(pool) if pool is not None else default_pool()
     profiles = {p.name: p for p in workload_pool}
     if testbed_config is None:
         testbed_config = TestbedConfig(seed=config.seed)
-    engine = _engine_from_dict(data["engine"], testbed_config, profiles)
-
+    saved = require_fields(data["engine"], "engine", ("dt",))
+    engine = ClusterEngine(testbed=Testbed(testbed_config), dt=saved["dt"])
+    load_engine_state(engine, saved, profiles)
     injector = None
-    if data.get("injector") is not None:
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan
-
-        saved = data["injector"]
-        injector = FaultInjector(
-            FaultPlan.from_dict(saved["plan"]),
-            scenario_seed=saved["scenario_seed"],
+    if data["injector"] is not None:
+        (injector,) = restore_injectors(
+            [data["injector"]], [engine], getattr(scheduler, "predictor", None)
         )
-        injector.attach(
-            engine, predictor=getattr(scheduler, "predictor", None)
-        )
-        injector.load_state_dict(saved)
-
-    if (
-        scheduler is not None
-        and data.get("policy") is not None
-        and hasattr(scheduler, "load_state_dict")
-    ):
-        scheduler.load_state_dict(data["policy"])
+    restore_policy(scheduler, data["policy"])
 
     arrivals = generate_arrivals(
         config, pool=pool, random_modes=scheduler is None

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro.faults.checkpoint import require_fields
 from repro.faults.errors import InferenceTimeout
 from repro.faults.plan import (
     FLEET_KINDS,
@@ -259,9 +260,10 @@ class FaultInjector:
         }
 
     def load_state_dict(self, data: dict) -> None:
+        require_fields(data, "injector", ("rng_state", "active", "injected"))
         self.rng.bit_generator.state = data["rng_state"]
-        self._active = set(data.get("active", []))
-        self.injected.update(data.get("injected", {}))
+        self._active = set(data["active"])
+        self.injected.update(data["injected"])
 
     # -- predictor faults (used as an attached set by Predictor) ------------
     @property

@@ -14,10 +14,8 @@ Four cooperating pieces:
 coordinated by :class:`repro.obs.live.session.LiveSession` (created via
 :func:`repro.obs.enable_live`), with
 :class:`repro.obs.perf.profiler.IntervalProfiler` sampling hot-path cost
-into the same stream (re-exported here for compatibility; the profiler
-surface lives under :mod:`repro.obs.perf`).  Everything honours the obs
-layer's contract: without an enabled live session the simulation is
-bit-identical.
+into the same stream.  Everything honours the obs layer's contract:
+without an enabled live session the simulation is bit-identical.
 """
 
 from repro.obs.live.drift import DriftAlarm, DriftDetector, Ewma, PageHinkley
@@ -25,7 +23,6 @@ from repro.obs.live.session import STREAM_VERSION, LiveSession
 from repro.obs.live.slo import SloEngine, peak_burn_rate
 from repro.obs.live.stream import StreamExporter
 from repro.obs.live.watch import read_stream, render_frame, watch
-from repro.obs.perf.profiler import IntervalProfiler
 
 __all__ = [
     "LiveSession",
@@ -37,7 +34,6 @@ __all__ = [
     "PageHinkley",
     "SloEngine",
     "peak_burn_rate",
-    "IntervalProfiler",
     "read_stream",
     "render_frame",
     "watch",

@@ -8,7 +8,7 @@ Three pieces, one theme — *prove each step faster, not slower*:
   disabled, exportable to the metrics registry and as a Chrome-trace
   timeline;
 * :mod:`repro.obs.perf.profiler` — the statistical interval-sampling
-  profiler (moved here from ``repro.obs.live.profiler``);
+  profiler;
 * :mod:`repro.obs.perf.gate` — the benchmark-baseline regression gate
   behind ``repro obs perfcheck`` and the CI ``perf-smoke`` job.
 

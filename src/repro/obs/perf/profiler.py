@@ -11,9 +11,6 @@ itself (the sampled thread pays nothing between samples).
 Sampling is statistical: shares converge to wall-time shares as samples
 accumulate.  The profiler never touches simulation state and is only
 started by the live session, so disabled runs are bit-identical.
-
-Historically this lived at ``repro.obs.live.profiler``; that import path
-remains as a deprecation shim.
 """
 
 from __future__ import annotations

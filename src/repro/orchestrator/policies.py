@@ -19,6 +19,7 @@ import numpy as np
 from repro import obs
 from repro.cluster.engine import ClusterEngine
 from repro.faults.breaker import CircuitBreaker
+from repro.faults.checkpoint import require_fields
 from repro.faults.errors import CorruptPrediction, InferenceFault
 from repro.models.predictor import Predictor
 from repro.obs.perf import accounting as perf_accounting
@@ -130,6 +131,7 @@ class RandomPolicy(_BasePolicy):
         return {"rng_state": self._rng.bit_generator.state}
 
     def load_state_dict(self, data: dict) -> None:
+        require_fields(data, "policy", ("rng_state",))
         self._rng.bit_generator.state = data["rng_state"]
 
 
@@ -149,6 +151,7 @@ class RoundRobinPolicy(_BasePolicy):
         return {"last": self._last.value}
 
     def load_state_dict(self, data: dict) -> None:
+        require_fields(data, "policy", ("last",))
         self._last = MemoryMode(data["last"])
 
 
@@ -320,11 +323,16 @@ class AdriasPolicy(_BasePolicy):
         # them (fleet runs share one policy — and breaker — across nodes).
         self.breaker.node = getattr(engine, "node_label", None)
         if not self.predictor.has_signature(profile):
-            # First encounter: schedule on remote and capture (§V-C).
             self.predictor.signatures.capture(profile)
-            self._captured.add(profile.name)
-            self._detail = {"reason": "signature-capture"}
-            return MemoryMode.REMOTE
+            if profile.name not in self._captured:
+                # First encounter: schedule on remote and capture (§V-C).
+                self._captured.add(profile.name)
+                self._detail = {"reason": "signature-capture"}
+                return MemoryMode.REMOTE
+            # Captured before the checkpoint this run resumed from, by a
+            # predictor that did not survive the restart: capture is a
+            # deterministic isolated run, so the signature is the same
+            # and the decision proceeds as in the uninterrupted run.
         if not self.breaker.allow(engine.now):
             return self._degraded_decide(profile, engine, "circuit-open")
         try:
@@ -373,15 +381,9 @@ class AdriasPolicy(_BasePolicy):
         # candidates evaluated within one tick share a single
         # system-state forward.  attach() is idempotent.
         self.predictor.attach(engine)
-        history = self._history(engine)
-        try:
-            estimates = self.predictor.predict_both_modes(
-                profile, history, deadline_s=self.decision_deadline_s
-            )
-        except TypeError:
-            # Predictors without deadline support (stubs, older models)
-            # still work; they just cannot observe inference timeouts.
-            estimates = self.predictor.predict_both_modes(profile, history)
+        estimates = self.predictor.predict_both_modes(
+            profile, self._history(engine), deadline_s=self.decision_deadline_s
+        )
         if not all(np.isfinite(v) for v in estimates.values()):
             raise CorruptPrediction(
                 f"non-finite estimates for {profile.name}: "
@@ -434,19 +436,11 @@ class AdriasPolicy(_BasePolicy):
         }
 
     def load_state_dict(self, data: dict) -> None:
+        require_fields(data, "policy", ("breaker", "captured"))
         self.breaker.load_state_dict(data["breaker"])
-        # Signatures captured before the checkpoint: re-capture any the
-        # current predictor is missing (capture is deterministic — an
-        # isolated run on a fresh engine — so the values are identical).
-        for name in data.get("captured", []):
-            self._captured.add(name)
-
-    def restore_signatures(self, pool: Sequence[WorkloadProfile]) -> None:
-        """Re-capture checkpointed signatures missing from the predictor."""
-        by_name = {p.name: p for p in pool}
-        for name in sorted(self._captured):
-            if name in by_name and not self.predictor.has_signature(by_name[name]):
-                self.predictor.signatures.capture(by_name[name])
+        # A checkpointed name's signature is re-captured silently on its
+        # next arrival if the resuming predictor lacks it (see decide).
+        self._captured.update(data["captured"])
 
     def _audit_detail(self) -> dict:
         return self.__dict__.pop("_detail", {})

@@ -10,7 +10,6 @@ watchdog and crash-safe warm-restart checkpoints.
 
 from repro.serve.client import DaemonClient, DaemonClientError
 from repro.serve.daemon import (
-    DAEMON_CHECKPOINT_VERSION,
     DaemonConfig,
     OrchestratorDaemon,
     load_daemon_checkpoint,
@@ -26,7 +25,6 @@ from repro.serve.safety import (
 from repro.serve.server import DaemonServer
 
 __all__ = [
-    "DAEMON_CHECKPOINT_VERSION",
     "ENVELOPE_VERSION",
     "DaemonClient",
     "DaemonClientError",

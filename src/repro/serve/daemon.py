@@ -27,6 +27,7 @@ Robustness properties, all exercised by the soak tests:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -36,35 +37,37 @@ import numpy as np
 
 from repro import obs
 from repro.cluster.engine import CapacityError, RemoteUnavailableError
+from repro.cluster.failover import FleetHealthManager
 from repro.cluster.fleet import ClusterFleet, FleetDecision, LeastLoadedPlacement
 from repro.cluster.scenario import default_pool
 from repro.faults.breaker import CircuitBreaker, CircuitState
 from repro.faults.checkpoint import (
-    _engine_from_dict,
-    _engine_to_dict,
-    _require,
+    dataclass_from_dict,
+    fleet_state,
+    load_fleet_state,
+    policy_state,
+    read_checkpoint,
+    require_fields,
+    restore_policy,
+    write_checkpoint,
 )
-from repro.cluster.failover import FleetHealthManager
-from repro.faults.errors import CheckpointError
 from repro.faults.plan import FLEET_KINDS, FaultPlan
 from repro.hardware.pool import RemotePoolConfig
-from repro.obs.fsio import atomic_write_text
 from repro.obs.live.slo import SloEngine
 from repro.orchestrator.policies import InterferenceThresholdPolicy
 from repro.serve.safety import SafetyEnvelope, SafetyMonitor
 from repro.workloads.base import MemoryMode, WorkloadKind
 
 __all__ = [
-    "DAEMON_CHECKPOINT_VERSION",
     "DaemonConfig",
     "OrchestratorDaemon",
     "load_daemon_checkpoint",
 ]
 
-DAEMON_CHECKPOINT_VERSION = 1
-
 #: Ledger statuses a deployment can still leave (finish matching).
 _OPEN_STATUSES = ("running", "parked")
+#: Fields every ledger entry carries, whatever its status.
+_LEDGER_FIELDS = ("id", "app", "status", "decided_s")
 
 
 @dataclass(frozen=True)
@@ -98,64 +101,10 @@ class DaemonConfig:
         if self.drain_grace_s < 0:
             raise ValueError("drain_grace_s cannot be negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_nodes": self.n_nodes,
-            "dt": self.dt,
-            "max_link_utilization": self.max_link_utilization,
-            "tick_interval_s": self.tick_interval_s,
-            "watchdog_timeout_s": self.watchdog_timeout_s,
-            "request_timeout_s": self.request_timeout_s,
-            "breaker_cooldown_s": self.breaker_cooldown_s,
-            "drain_grace_s": self.drain_grace_s,
-            "pool_regime": self.pool_regime,
-            "pool_capacity_gb": self.pool_capacity_gb,
-            "pool_bw_gbps": self.pool_bw_gbps,
-            "seed": self.seed,
-            "qos_p99_ms": dict(self.qos_p99_ms),
-            "checkpoint_path": self.checkpoint_path,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DaemonConfig":
-        known = {
-            "n_nodes", "dt", "max_link_utilization", "tick_interval_s",
-            "watchdog_timeout_s", "request_timeout_s", "breaker_cooldown_s",
-            "drain_grace_s", "pool_regime", "pool_capacity_gb",
-            "pool_bw_gbps", "seed", "qos_p99_ms", "checkpoint_path",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise CheckpointError(
-                f"daemon config has unknown fields {sorted(unknown)}"
-            )
-        return cls(**data)
-
 
 def load_daemon_checkpoint(path) -> dict:
-    """Read and structurally validate a daemon checkpoint file."""
-    path = Path(path)
-    if not path.exists():
-        raise CheckpointError(f"no daemon checkpoint at {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            f"corrupt daemon checkpoint {path}: {error}"
-        ) from None
-    if not isinstance(data, dict) or (
-        data.get("version") != DAEMON_CHECKPOINT_VERSION
-    ):
-        raise CheckpointError(
-            f"unsupported daemon checkpoint version {data.get('version')!r} "
-            f"(expected {DAEMON_CHECKPOINT_VERSION})"
-        )
-    missing = {"config", "now", "engines", "ledger", "counters"} - set(data)
-    if missing:
-        raise CheckpointError(
-            f"daemon checkpoint missing fields {sorted(missing)}"
-        )
-    return data
+    """Read a daemon checkpoint (see :func:`repro.faults.checkpoint.read_checkpoint`)."""
+    return read_checkpoint(path, "daemon")
 
 
 class OrchestratorDaemon:
@@ -256,9 +205,8 @@ class OrchestratorDaemon:
     def _wire_engines(self) -> None:
         """Chain the ledger/SLO finish hook onto every fleet engine.
 
-        Called at construction and again after checkpoint restore adopts
-        rebuilt engines (adoption replaces the engine objects, and with
-        them any previously chained hooks).
+        Called once, at construction: checkpoint restore loads engine
+        state into these same engines, so the hooks survive it.
         """
         for engine in self.fleet.engines:
             previous = engine.on_finish
@@ -679,76 +627,56 @@ class OrchestratorDaemon:
     # -- checkpointing ---------------------------------------------------------
     def save(self, path) -> Path:
         """Atomically write the daemon checkpoint (crash-safe)."""
-        payload = {
-            "version": DAEMON_CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
-            "envelope": self.envelope.to_dict(),
-            "plan": self.plan.to_dict() if self.plan is not None else None,
-            "now": self.fleet.now,
-            "pool_throttled_ticks": self.fleet.pool_throttled_ticks,
-            "engines": [_engine_to_dict(e) for e in self.fleet.engines],
-            "breaker": self.breaker.state_dict(),
-            "policy": self.scheduler.state_dict(),
-            "safety": self.monitor.state_dict(),
-            "ledger": self.ledger,
-            "next_id": self._next_id,
-            "counters": self.counters,
-            "cleared_wedges": sorted(self._cleared_wedges),
-            "fleet_submitted": self.fleet.submitted,
-            "health": (
-                self.health.state_dict() if self.health is not None else None
-            ),
-        }
-        return atomic_write_text(path, json.dumps(payload) + "\n")
+        return write_checkpoint(
+            path,
+            "daemon",
+            config=dataclasses.asdict(self.config),
+            envelope=self.envelope.to_dict(),
+            plan=self.plan.to_dict() if self.plan is not None else None,
+            fleet=fleet_state(self.fleet),
+            breaker=self.breaker.state_dict(),
+            policy=policy_state(self.scheduler),
+            safety=self.monitor.state_dict(),
+            ledger=self.ledger,
+            next_id=self._next_id,
+            counters=self.counters,
+            cleared_wedges=sorted(self._cleared_wedges),
+        )
 
     @classmethod
     def restore(cls, path, clock=time.monotonic) -> "OrchestratorDaemon":
-        """Warm-restart a daemon from its checkpoint, bit-identically."""
+        """Warm-restart a daemon from its checkpoint, bit-identically.
+
+        The daemon is rebuilt from the checkpointed config, envelope and
+        plan exactly as it was first built, then its fleet state is
+        loaded into those same engines in place.
+        """
         data = load_daemon_checkpoint(path)
-        config = DaemonConfig.from_dict(_require(data, "config", "daemon"))
-        envelope = SafetyEnvelope.from_dict(data.get("envelope") or {})
-        plan = (
-            FaultPlan.from_dict(data["plan"])
-            if data.get("plan") is not None
-            else None
+        config = dataclass_from_dict(DaemonConfig, data["config"], "daemon config")
+        plan = FaultPlan.from_dict(data["plan"]) if data["plan"] is not None else None
+        daemon = cls(
+            config,
+            envelope=SafetyEnvelope.from_dict(data["envelope"]),
+            plan=plan,
+            clock=clock,
         )
-        daemon = cls(config, envelope=envelope, plan=plan, clock=clock)
-        engines = _require(data, "engines", "daemon")
-        if len(engines) != daemon.fleet.n_nodes:
-            raise CheckpointError(
-                f"daemon checkpoint has {len(engines)} engines for a "
-                f"{daemon.fleet.n_nodes}-node fleet"
-            )
-        for index, engine_data in enumerate(engines):
-            testbed_config = daemon.fleet.engines[index].testbed.config
-            engine = _engine_from_dict(
-                engine_data, testbed_config, daemon.profiles
-            )
-            daemon.fleet.adopt_engine(index, engine)
-        daemon.fleet._now = _require(data, "now", "daemon")
-        daemon.fleet.pool_throttled_ticks = data.get("pool_throttled_ticks", 0)
-        if data.get("breaker") is not None:
-            daemon.breaker.load_state_dict(data["breaker"])
-        daemon.scheduler.load_state_dict(data.get("policy"))
-        if data.get("safety") is not None:
-            daemon.monitor.load_state_dict(data["safety"])
+        load_fleet_state(daemon.fleet, data["fleet"], daemon.profiles)
+        daemon.breaker.load_state_dict(data["breaker"])
+        restore_policy(daemon.scheduler, data["policy"])
+        daemon.monitor.load_state_dict(data["safety"])
         daemon.ledger = {
-            key: dict(entry)
-            for key, entry in _require(data, "ledger", "daemon").items()
+            key: dict(require_fields(entry, "ledger entry", _LEDGER_FIELDS))
+            for key, entry in data["ledger"].items()
         }
-        daemon._next_id = _require(data, "next_id", "daemon")
-        daemon.counters.update(_require(data, "counters", "daemon"))
-        daemon._cleared_wedges = set(data.get("cleared_wedges", []))
-        daemon.fleet.submitted = int(data.get("fleet_submitted", 0))
-        if daemon.health is not None and data.get("health") is not None:
-            daemon.health.load_state_dict(data["health"], daemon.profiles)
+        daemon._next_id = data["next_id"]
+        daemon.counters.update(
+            require_fields(data["counters"], "counters", tuple(daemon.counters))
+        )
+        daemon._cleared_wedges = set(data["cleared_wedges"])
         for entry in daemon.ledger.values():
-            if entry["status"] in _OPEN_STATUSES and (
-                entry.get("decided_s") is not None
-            ):
+            if entry["status"] in _OPEN_STATUSES:
                 daemon._by_key.setdefault(
                     (entry["app"], round(entry["decided_s"], 6)), []
                 ).append(entry["id"])
-        daemon._wire_engines()
         daemon._last_tick_wall = daemon.clock()
         return daemon

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
+from repro.faults.checkpoint import require_fields
 from repro.obs.fsio import atomic_write_text
 from repro.workloads.base import MemoryMode, WorkloadKind, WorkloadProfile
 
@@ -401,6 +402,7 @@ class SafetyMonitor:
         }
 
     def load_state_dict(self, data: dict) -> None:
-        self.vetoes = dict(data.get("vetoes", {}))
-        self.downgrades = dict(data.get("downgrades", {}))
-        self._active = set(data.get("active", []))
+        require_fields(data, "safety", ("vetoes", "downgrades", "active"))
+        self.vetoes = dict(data["vetoes"])
+        self.downgrades = dict(data["downgrades"])
+        self._active = set(data["active"])

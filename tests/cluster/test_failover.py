@@ -334,7 +334,7 @@ class TestRetryJitterDeterminism:
         fleet.note_submitted()
         fleet.run_for(40.0)
         entry = engine._retry_queue[0]
-        return entry["attempts"], entry["next_attempt_s"]
+        return entry.attempts, entry.next_attempt_s
 
     def test_same_seed_same_backoff_schedule(self):
         assert self._schedule() == self._schedule()

@@ -72,13 +72,13 @@ class TestCrashWindowStraddle:
     def test_last_checkpoint_lands_inside_the_window(self, tmp_path):
         ckpt = tmp_path / "fleet.ckpt.json"
         run_with_checkpoint(ckpt)
-        data = load_fleet_checkpoint(ckpt)
-        assert data["now"] > 150.0  # written after the crash onset
-        health = data["health"]
+        fleet = load_fleet_checkpoint(ckpt)["fleet"]
+        assert fleet["now"] > 150.0  # written after the crash onset
+        health = fleet["health"]
         assert health is not None
         assert health["statuses"]["n1"] == "down"
         # The dead engine's fail-stop flag survives the round trip too.
-        assert data["engines"][1]["dead"] is True
+        assert fleet["engines"][1]["dead"] is True
 
     def test_resume_through_crash_window_is_bit_identical(self, tmp_path):
         ckpt = tmp_path / "fleet.ckpt.json"

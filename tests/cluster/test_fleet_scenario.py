@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cluster.fleet import FleetDecision, LeastLoadedPlacement
+from repro.cluster.fleet import ClusterFleet, FleetDecision, LeastLoadedPlacement
 from repro.cluster.fleet_scenario import (
     FleetScenarioConfig,
     load_fleet_checkpoint,
@@ -15,6 +15,7 @@ from repro.cluster.scenario import ScenarioConfig
 from repro.faults.errors import CheckpointError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.runtime import active_plan
+from repro.hardware.config import TestbedConfig
 from repro.hardware.pool import RemotePoolConfig
 from repro.orchestrator.policies import (
     InterferenceThresholdPolicy,
@@ -190,7 +191,7 @@ class TestCheckpoint:
             checkpoint_every_s=100.0,
         )
         data = load_fleet_checkpoint(ckpt)
-        assert data["pool"]["regime"] == "shared-segment"
+        assert data["config"]["pool"]["regime"] == "shared-segment"
         resumed = resume_fleet_scenario(ckpt, scheduler=scheduler())
         assert resumed.pool is not None
         assert resumed.pool.config.regime.value == "shared-segment"
@@ -207,9 +208,118 @@ class TestCheckpoint:
 
     def test_missing_fields_raise(self, tmp_path):
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"version": 1, "scenario": {}}))
+        path.write_text(json.dumps({"version": 2, "config": {}}))
         with pytest.raises(CheckpointError, match="missing fields"):
             load_fleet_checkpoint(path)
+
+
+class _Stop(Exception):
+    """Ends a resumed replay at its first placement."""
+
+
+def pin_remote(profile, fleet):
+    """Fleet scheduler: every arrival goes to node 0's remote pool."""
+    return FleetDecision(0, MemoryMode.REMOTE)
+
+
+def stop(profile, fleet):
+    raise _Stop
+
+
+class TestSharedCodec:
+    """The fleet kind of the one checkpoint codec (format version 2)."""
+
+    @pytest.fixture()
+    def parked(self, tmp_path):
+        """A checkpoint written mid-outage, with node 0's retry queue full."""
+        ckpt = tmp_path / "fleet.ckpt.json"
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(kind="link_outage", start_s=250.0, duration_s=1000.0),
+            ),
+            seed=21,
+        )
+        with active_plan(plan):
+            full = run_fleet_scenario(
+                fleet_config(),
+                scheduler=pin_remote,
+                checkpoint_path=ckpt,
+                checkpoint_every_s=100.0,
+            )
+        engines = load_fleet_checkpoint(ckpt)["fleet"]["engines"]
+        assert engines[0]["retry_queue"], "fixture needs parked deployments"
+        return ckpt, full
+
+    def test_save_restore_save_is_byte_identical(self, parked, tmp_path):
+        ckpt, _ = parked
+        again = tmp_path / "again.json"
+        # A resumed replay saves at its first arrival boundary, before
+        # placing anything: that file is the restored state re-saved.
+        with pytest.raises(_Stop):
+            resume_fleet_scenario(
+                ckpt, scheduler=stop, checkpoint_path=again,
+                checkpoint_every_s=0.0,
+            )
+        assert again.read_bytes() == ckpt.read_bytes()
+
+    def test_resume_with_parked_work_matches(self, parked):
+        ckpt, full = parked
+        assert_fleets_identical(
+            full, resume_fleet_scenario(ckpt, scheduler=pin_remote)
+        )
+
+    def test_resume_keeps_the_fleet_tick(self, tmp_path):
+        ckpt = tmp_path / "fleet.ckpt.json"
+        config = fleet_config()
+        full = run_fleet_scenario(
+            config,
+            scheduler=scheduler(),
+            fleet=ClusterFleet(
+                n_nodes=config.n_nodes,
+                testbed_config=TestbedConfig(seed=SCENARIO.seed),
+                dt=0.5,
+                pool=config.pool,
+            ),
+            checkpoint_path=ckpt,
+            checkpoint_every_s=120.0,
+        )
+        resumed = resume_fleet_scenario(ckpt, scheduler=scheduler())
+        assert resumed.dt == 0.5
+        assert_fleets_identical(full, resumed)
+
+    def test_version_1_is_refused(self, parked):
+        ckpt, _ = parked
+        data = json.loads(ckpt.read_text())
+        data["version"] = 1
+        ckpt.write_text(json.dumps(data))
+        with pytest.raises(
+            CheckpointError,
+            match=r"unsupported fleet checkpoint version 1 \(expected 2\)",
+        ):
+            resume_fleet_scenario(ckpt, scheduler=pin_remote)
+
+    @pytest.mark.parametrize(
+        "where, field",
+        [
+            ("config", "n_nodes"),
+            ("config.scenario", "seed"),
+            ("config.pool", "regime"),
+            ("fleet", "dt"),
+            ("fleet", "submitted"),
+            ("injectors.0", "rng_state"),
+            ("fleet.engines.0.retry_queue.0", "backoff_s"),
+        ],
+    )
+    def test_stale_part_names_the_missing_field(self, parked, where, field):
+        ckpt, _ = parked
+        data = json.loads(ckpt.read_text())
+        part = data
+        for key in where.split("."):
+            part = part[int(key)] if key.isdigit() else part[key]
+        part.pop(field)
+        ckpt.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match=rf"\['{field}'\]"):
+            resume_fleet_scenario(ckpt, scheduler=pin_remote)
 
 
 class TestStaleFleetPayloads:
@@ -234,15 +344,17 @@ class TestStaleFleetPayloads:
             resume_fleet_scenario(path, scheduler=scheduler())
 
     def test_engine_field_missing(self, ckpt):
-        self.mutate(ckpt, lambda d: d["engines"][0].pop("counter_rng"))
+        self.mutate(ckpt, lambda d: d["fleet"]["engines"][0].pop("counter_rng"))
 
     def test_trace_field_missing(self, ckpt):
-        self.mutate(ckpt, lambda d: d["engines"][1]["trace"].pop("rows"))
+        self.mutate(
+            ckpt, lambda d: d["fleet"]["engines"][1]["trace"].pop("rows")
+        )
 
     def test_record_field_missing(self, ckpt):
         path, data = ckpt
         records = next(
-            e["trace"]["records"] for e in data["engines"]
+            e["trace"]["records"] for e in data["fleet"]["engines"]
             if e["trace"]["records"]
         )
         records[0].pop("runtime_s")

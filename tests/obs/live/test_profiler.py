@@ -45,23 +45,3 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             IntervalProfiler(interval_s=0.0)
 
-
-class TestDeprecatedImportPath:
-    def test_old_module_warns_and_reexports(self):
-        import importlib
-        import warnings
-
-        import repro.obs.live.profiler as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.reload(shim)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), "importing repro.obs.live.profiler must emit a DeprecationWarning"
-        assert shim.IntervalProfiler is IntervalProfiler
-
-    def test_live_package_still_exports_profiler(self):
-        from repro.obs.live import IntervalProfiler as from_live
-
-        assert from_live is IntervalProfiler

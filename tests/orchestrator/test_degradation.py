@@ -117,6 +117,22 @@ class TestBreakerIntegration:
             ("half-open", "closed"),
         ]
 
+    def test_type_error_inside_inference_propagates(self, engine, profile):
+        """A bug inside inference is not retried as a second forward pass."""
+        predictor = StubPredictor("healthy")
+        healthy = predictor.predict_both_modes
+
+        def fails_first(profile, history, deadline_s=None):
+            if predictor.calls == 0:
+                predictor.calls += 1
+                raise TypeError("bug inside inference")
+            return healthy(profile, history, deadline_s=deadline_s)
+
+        predictor.predict_both_modes = fails_first
+        with pytest.raises(TypeError, match="bug inside inference"):
+            AdriasPolicy(predictor).decide(profile, engine)
+        assert predictor.calls == 1
+
 
 class TestFallbackLadder:
     def test_fallback_decision_is_audited(self, engine, profile):

@@ -18,7 +18,7 @@ class StubPredictor(Predictor):
                          feature_config=config)
         self._estimates = estimates
 
-    def predict_both_modes(self, profile, history_raw):
+    def predict_both_modes(self, profile, history_raw, deadline_s=None):
         return dict(self._estimates[profile.name])
 
 

@@ -37,7 +37,7 @@ class StubPredictor(Predictor):
     def predict_performance(self, profile, history_raw, mode):
         return self._estimates[profile.name][mode]
 
-    def predict_both_modes(self, profile, history_raw):
+    def predict_both_modes(self, profile, history_raw, deadline_s=None):
         return dict(self._estimates[profile.name])
 
 

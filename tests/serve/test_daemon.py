@@ -14,6 +14,48 @@ from repro.serve.daemon import (
 )
 from repro.serve.safety import SafetyConstraint, SafetyEnvelope
 
+#: n1 crashes at 3 s: a checkpoint taken at 6 s carries fleet health.
+CRASH = FaultPlan(
+    faults=(
+        FaultSpec(kind="node_crash", start_s=3.0, duration_s=6.0,
+                  params={"node": "n1"}),
+    ),
+    seed=5,
+)
+
+
+def _unknown_failover_entry(data):
+    data["fleet"]["health"]["failover_queue"].append({
+        "profile": "no-such-app", "mode": "local", "duration_s": None,
+        "decided_s": 0.0, "from_node": "n1", "cause": "node_crash",
+    })
+
+
+#: Stale or hand-edited daemon checkpoints: (mutation, expected message).
+STALE_DAEMON_CHECKPOINTS = {
+    "version-1": (
+        lambda d: d.update(version=1),
+        r"unsupported daemon checkpoint version 1 \(expected 2\)",
+    ),
+    "config": (lambda d: d["config"].pop("seed"), r"\['seed'\]"),
+    "fleet": (lambda d: d["fleet"].pop("dt"), r"\['dt'\]"),
+    "engine": (
+        lambda d: d["fleet"]["engines"][0].pop("counter_rng"),
+        r"\['counter_rng'\]",
+    ),
+    "health": (
+        lambda d: d["fleet"]["health"].pop("missed"), r"\['missed'\]"
+    ),
+    "breaker": (lambda d: d["breaker"].pop("state"), r"\['state'\]"),
+    "safety": (lambda d: d["safety"].pop("vetoes"), r"\['vetoes'\]"),
+    "ledger": (
+        lambda d: d["ledger"]["d0"].pop("status"), r"\['status'\]"
+    ),
+    "failover-workload": (
+        _unknown_failover_entry, "unknown workload 'no-such-app'"
+    ),
+}
+
 
 def make_daemon(clock, *, envelope=None, plan=None, **config):
     config.setdefault("tick_interval_s", 0.5)
@@ -261,6 +303,70 @@ class TestCheckpoint:
         assert restored.fleet.now == daemon.fleet.now
         assert restored._by_key == daemon._by_key
 
+    def test_save_restore_save_keeps_parked_work(self, clock, tmp_path):
+        daemon = make_daemon(clock)
+        daemon.handle_line(json.dumps({"op": "deploy", "app": "redis"}))
+        engine = daemon.fleet.engines[1]
+        engine.remote_blocked = True  # the link is out: retries keep failing
+        engine.queue_remote(daemon.profiles["memcached"], decided_s=0.0)
+        daemon.handle_line(json.dumps({"op": "tick", "n": 2}))
+        first = daemon.save(tmp_path / "a.ckpt")
+        assert load_daemon_checkpoint(first)["fleet"]["engines"][1][
+            "retry_queue"
+        ]
+        restored = OrchestratorDaemon.restore(first, clock=clock)
+        second = restored.save(tmp_path / "b.ckpt")
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_restore_under_a_live_session_streams_each_engine_once(
+        self, clock, tmp_path
+    ):
+        daemon = make_daemon(clock)
+        daemon.handle_line(json.dumps({"op": "deploy", "app": "redis"}))
+        path = daemon.save(tmp_path / "d.ckpt")
+        live = obs.enable_live(tmp_path / "live", flush_every=1,
+                               profile=False)
+        restored = OrchestratorDaemon.restore(path, clock=clock)
+        restored.handle_line(json.dumps({"op": "tick", "n": 3}))
+        records = [
+            json.loads(line)
+            for line in live.exporter.path.read_text().splitlines()
+        ]
+        streamed = {r["engine"] for r in records if r.get("t") == "tick"}
+        assert streamed == {0, 1}
+
+    @pytest.fixture()
+    def crash_checkpoint(self, clock, tmp_path):
+        daemon = make_daemon(clock, plan=CRASH)
+        daemon.handle_line(json.dumps({"op": "deploy", "app": "redis"}))
+        daemon.handle_line(json.dumps({"op": "tick", "n": 6}))
+        return daemon.save(tmp_path / "crash.ckpt")
+
+    @pytest.mark.parametrize("stale", sorted(STALE_DAEMON_CHECKPOINTS))
+    def test_stale_part_is_a_checkpoint_error(self, crash_checkpoint, stale):
+        mutate, message = STALE_DAEMON_CHECKPOINTS[stale]
+        data = json.loads(crash_checkpoint.read_text())
+        mutate(data)
+        crash_checkpoint.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match=message):
+            OrchestratorDaemon.restore(crash_checkpoint)
+
+    @pytest.mark.parametrize("stale", sorted(STALE_DAEMON_CHECKPOINTS))
+    def test_cli_resume_of_a_stale_checkpoint_exits_2(
+        self, crash_checkpoint, stale, capsys
+    ):
+        from repro.__main__ import main
+
+        mutate, _ = STALE_DAEMON_CHECKPOINTS[stale]
+        data = json.loads(crash_checkpoint.read_text())
+        mutate(data)
+        crash_checkpoint.write_text(json.dumps(data))
+        # --max-wall-s bounds the run should a regression let it serve.
+        argv = ["serve", "--resume", str(crash_checkpoint), "--port", "0",
+                "--max-wall-s", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("serve: ")
+
     def test_restored_deployments_keep_finishing(self, clock, tmp_path):
         daemon = make_daemon(clock)
         deployed = daemon.handle_line(
@@ -326,10 +432,12 @@ class TestCheckpoint:
         daemon = make_daemon(clock)
         path = daemon.save(tmp_path / "d.ckpt")
         data = json.loads(path.read_text())
-        del data[missing]
+        # The fleet clock and engines live in the shared fleet part.
+        part = data["fleet"] if missing in ("now", "engines") else data
+        del part[missing]
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match=missing):
-            load_daemon_checkpoint(path)
+            OrchestratorDaemon.restore(path)
 
     def test_unknown_config_field_rejected(self, clock, tmp_path):
         daemon = make_daemon(clock)
@@ -344,7 +452,7 @@ class TestCheckpoint:
         daemon = make_daemon(clock)
         path = daemon.save(tmp_path / "d.ckpt")
         data = json.loads(path.read_text())
-        data["engines"] = data["engines"][:1]
+        data["fleet"]["engines"] = data["fleet"]["engines"][:1]
         path.write_text(json.dumps(data))
         with pytest.raises(CheckpointError, match="engines"):
             OrchestratorDaemon.restore(path)
