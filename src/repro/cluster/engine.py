@@ -24,7 +24,7 @@ from repro.cluster.deployment import Deployment
 from repro.cluster.trace import Trace
 from repro.hardware.counters import METRIC_NAMES, PerfCounters
 from repro.hardware.testbed import SystemPressure, Testbed
-from repro.obs.perf import accounting as perf_accounting
+from repro.obs.perf.accounting import accounting as perf_accounting
 from repro.workloads.base import MemoryMode, WorkloadProfile
 
 __all__ = [
@@ -336,18 +336,18 @@ class ClusterEngine:
     def tick(self) -> SystemPressure:
         """Advance the simulation by one step.
 
-        When phase accounting is enabled
-        (:func:`repro.obs.perf.enable_phases`) the tick's cost is
+        When phase accounting is enabled (:func:`repro.obs.enable` or
+        :func:`repro.obs.perf.enable_phases`) the tick's cost is
         attributed to named sub-phases as *contiguous laps* — each lap
         starts where the previous ended, so the ``engine.*`` leaf totals
-        sum exactly to the recorded ``engine.tick`` total.  Disabled
-        (the default), the whole mechanism is one accessor call and a
-        few ``is not None`` tests: no clock reads, no allocations, and
+        sum exactly to the recorded ``engine.tick`` total, which is also
+        what ``engine_tick_seconds`` observes.  Disabled (the default),
+        the whole mechanism is one accessor call and a few
+        ``is not None`` tests: no clock reads, no allocations, and
         bit-identical simulation output.
         """
         if self.dead:
             return self._tick_dead()
-        start = obs.wall_time()
         acct = perf_accounting()
         t0 = tick_start = acct.clock() if acct is not None else 0.0
         if self._retry_queue:
@@ -417,11 +417,6 @@ class ClusterEngine:
                 "engine_sim_time_seconds", "Current simulation clock",
                 labels=("node",),
             ).labels(node=node).set(self.now)
-            metrics.histogram(
-                "engine_tick_seconds",
-                "Wall-clock duration of one engine tick",
-                labels=("node",),
-            ).labels(node=node).observe(obs.wall_time() - start)
         if acct is not None:
             t0 = acct.lap("engine.obs_export", t0)
             total = t0 - tick_start
@@ -430,6 +425,13 @@ class ClusterEngine:
                 # Per-node envelope so a fleet profile attributes tick
                 # cost to individual lanes, not one collapsed phase.
                 acct.add(f"engine.tick[{self.node_label}]", total)
+            if obs.enabled():
+                # Observes the envelope, so it falls outside it.
+                obs.metrics().histogram(
+                    "engine_tick_seconds",
+                    "Wall-clock duration of one engine tick",
+                    labels=("node",),
+                ).labels(node=self.node_label or "n0").observe(total)
         return pressure
 
     def _tick_dead(self) -> SystemPressure:

@@ -48,13 +48,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 from repro import obs
 from repro.cluster.engine import CapacityError
-from repro.faults.checkpoint import lookup_profile, require_fields
+from repro.faults.checkpoint import (
+    _fields_to_dict,
+    dataclass_from_dict,
+    lookup_profile,
+    require_fields,
+)
 from repro.workloads.base import MemoryMode, WorkloadProfile
 
-__all__ = ["NodeHealth", "FailoverConfig", "FleetHealthManager"]
+__all__ = ["NodeHealth", "FailoverConfig", "FailoverEntry", "FleetHealthManager"]
 
 
 class NodeHealth(str, enum.Enum):
@@ -79,6 +86,22 @@ class FailoverConfig:
             raise ValueError("down_after must be >= suspect_after")
 
 
+@dataclass
+class FailoverEntry:
+    """A deployment drained off a failure domain, awaiting re-placement."""
+
+    profile: WorkloadProfile
+    #: Preferred mode on the survivor (the mode it ran in).
+    mode: MemoryMode
+    duration_s: float | None
+    #: Original decision time; it keys the audit-log join and the
+    #: journey journal across the failover.
+    decided_s: float
+    from_node: str
+    #: ``node_crash`` or ``pool_device_fail``.
+    cause: str
+
+
 class FleetHealthManager:
     """Heartbeat failure detector + failover queue for one fleet.
 
@@ -99,9 +122,8 @@ class FleetHealthManager:
         #: node label -> NodeHealth (nodes start UP implicitly).
         self.statuses: dict[str, str] = {}
         self._missed: dict[str, int] = {}
-        #: Entries awaiting re-placement: profile, mode, duration_s,
-        #: decided_s, from_node, cause.
-        self.failover_queue: list[dict] = []
+        #: Entries awaiting re-placement, oldest first.
+        self.failover_queue: list[FailoverEntry] = []
         self.counters: dict[str, int] = {
             "drained": 0,      # deployments + parked retries drained off dead nodes
             "evicted": 0,      # remote segments evicted by pool device loss
@@ -244,14 +266,14 @@ class FleetHealthManager:
         journey=None,
     ) -> None:
         self.failover_queue.append(
-            {
-                "profile": profile,
-                "mode": mode,
-                "duration_s": duration_s,
-                "decided_s": decided_s,
-                "from_node": from_node,
-                "cause": cause,
-            }
+            FailoverEntry(
+                profile=profile,
+                mode=mode,
+                duration_s=duration_s,
+                decided_s=decided_s,
+                from_node=from_node,
+                cause=cause,
+            )
         )
         self.counters["drained" if cause == "node_crash" else "evicted"] += 1
         key = (from_node, cause)
@@ -271,7 +293,7 @@ class FleetHealthManager:
 
     def _replay(self, fleet, now: float) -> None:
         """Re-place queued entries on survivors; park what still won't fit."""
-        keep: list[dict] = []
+        keep: list[FailoverEntry] = []
         for entry in self.failover_queue:
             if self._try_place(fleet, entry):
                 self.counters["replayed"] += 1
@@ -279,23 +301,23 @@ class FleetHealthManager:
                 keep.append(entry)
         self.failover_queue = keep
 
-    def _try_place(self, fleet, entry: dict) -> bool:
-        profile = entry["profile"]
+    def _try_place(self, fleet, entry: FailoverEntry) -> bool:
+        profile = entry.profile
         if self.scheduler is not None:
             try:
                 decision = self.scheduler(profile, fleet)
                 fleet.deploy(
                     profile,
                     decision,
-                    duration_s=entry["duration_s"],
-                    decided_s=entry["decided_s"],
+                    duration_s=entry.duration_s,
+                    decided_s=entry.decided_s,
                 )
                 return True
             except CapacityError:
                 return False
         from repro.cluster.fleet import FleetDecision
 
-        preferred: MemoryMode = entry["mode"]
+        preferred = entry.mode
         alive = [i for i, e in enumerate(fleet.engines) if not e.dead]
         order = sorted(alive, key=lambda i: (fleet.node_load(i), i))
         for mode in (preferred, preferred.other):
@@ -309,8 +331,8 @@ class FleetHealthManager:
                     fleet.deploy(
                         profile,
                         FleetDecision(index, mode),
-                        duration_s=entry["duration_s"],
-                        decided_s=entry["decided_s"],
+                        duration_s=entry.duration_s,
+                        decided_s=entry.decided_s,
                     )
                     return True
                 except CapacityError:
@@ -420,11 +442,9 @@ class FleetHealthManager:
             "statuses": dict(self.statuses),
             "missed": dict(self._missed),
             "failover_queue": [
-                {
-                    **entry,
-                    "profile": entry["profile"].name,
-                    "mode": entry["mode"].value,
-                }
+                _fields_to_dict(
+                    entry, profile=attrgetter("name"), mode=attrgetter("value")
+                )
                 for entry in self.failover_queue
             ],
             "counters": dict(self.counters),
@@ -444,19 +464,13 @@ class FleetHealthManager:
         ))
         self.statuses = dict(data["statuses"])
         self._missed = {k: int(v) for k, v in data["missed"].items()}
-        self.failover_queue = []
-        for entry in data["failover_queue"]:
-            require_fields(entry, "failover entry", (
-                "profile", "mode", "duration_s", "decided_s", "from_node",
-                "cause",
-            ))
-            self.failover_queue.append(
-                {
-                    **entry,
-                    "profile": lookup_profile(profiles, entry["profile"]),
-                    "mode": MemoryMode(entry["mode"]),
-                }
+        self.failover_queue = [
+            dataclass_from_dict(
+                FailoverEntry, entry, "failover entry",
+                profile=partial(lookup_profile, profiles), mode=MemoryMode,
             )
+            for entry in data["failover_queue"]
+        ]
         self.counters.update(
             require_fields(data["counters"], "health counters", tuple(self.counters))
         )

@@ -41,7 +41,7 @@ from repro.cluster.engine import (
 from repro.hardware.config import TestbedConfig
 from repro.hardware.pool import RemotePool, RemotePoolConfig
 from repro.hardware.testbed import Testbed
-from repro.obs.perf import accounting as perf_accounting
+from repro.obs.perf.accounting import accounting as perf_accounting
 from repro.workloads.base import MemoryMode, WorkloadKind, WorkloadProfile
 
 __all__ = [
@@ -378,9 +378,12 @@ class ClusterFleet:
             # Heartbeats, drains and pool derates land before
             # arbitration so this tick's water-fill and placements see
             # the post-failure fleet.
+            inner = acct.recorded if acct is not None else 0.0
             self.health.step(self)
             if acct is not None:
-                t0 = acct.lap("fleet.health", t0)
+                # Failover placements inside the step lap their own
+                # decisions; the health lap keeps only the rest.
+                t0 = acct.lap("fleet.health", t0, nested=acct.recorded - inner)
         self._arbitrate()
         if acct is not None:
             acct.lap("fleet.arbitration", t0)
@@ -524,9 +527,10 @@ class LeastLoadedPlacement:
             )
         acct = perf_accounting()
         if acct is not None:
-            t0 = acct.clock()
+            # The decision's own time: its predictor laps count once.
+            t0, inner = acct.clock(), acct.recorded
             mode = self.mode_policy.decide(profile, fleet.engines[order[0]])
-            acct.lap("policy.decide", t0)
+            acct.lap("policy.decide", t0, nested=acct.recorded - inner)
         else:
             mode = self.mode_policy.decide(profile, fleet.engines[order[0]])
         # Fall back across nodes, then across pools.

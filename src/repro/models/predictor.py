@@ -34,7 +34,7 @@ from repro.models.features import FeatureConfig, encode_mode, impute_gaps, subsa
 from repro.models.performance import PerformancePredictor
 from repro.models.signatures import SignatureLibrary
 from repro.models.system_state import SystemStatePredictor
-from repro.obs.perf import accounting as perf_accounting
+from repro.obs.perf.accounting import accounting as perf_accounting
 from repro.workloads.base import MemoryMode, WorkloadKind, WorkloadProfile
 
 __all__ = ["Predictor"]
@@ -148,13 +148,14 @@ class Predictor:
         if self._memo_future is not None:
             self._observe_memo_hit("system_state")
             return window, self._memo_future
-        start = obs.wall_time()
         acct = perf_accounting()
         t0 = acct.clock() if acct is not None else 0.0
         self._memo_future = self.system_state.predict(window)
-        if acct is not None:
-            acct.lap("predictor.system_state", t0)
-        self._observe_inference(label, start)
+        self._observe_inference(
+            label,
+            acct.lap("predictor.system_state", t0) - t0
+            if acct is not None else None,
+        )
         live = obs.live_session()
         if live is not None:
             live.note_state_forecast(self._memo_future, self.config.horizon_s)
@@ -188,7 +189,7 @@ class Predictor:
         history_raw = np.asarray(history_raw, dtype=np.float64)
         signature = self.signatures.get(profile.name)
         # Ŝ is produced (and observed) before the performance-model
-        # timing starts, so its histogram no longer absorbs the nested
+        # lap starts, so the forward's time excludes the nested
         # system-state forward.
         if model.use_future:
             window, future = self._system_state(
@@ -196,23 +197,18 @@ class Predictor:
             )
         else:
             window, future = self._window(history_raw), None
-        start = obs.wall_time()
         acct = perf_accounting()
         t0 = acct.clock() if acct is not None else 0.0
-        # Span creation is gated on obs.enabled() so the disabled hot
-        # path allocates nothing (NULL_SPAN is a shared no-op object).
-        with obs.tracer().span(
-            "predictor.infer", app=profile.name, mode=mode.value
-        ) if obs.enabled() else obs.NULL_SPAN:
-            estimate = model.predict(
-                state=window,
-                signature=signature,
-                mode=np.array([encode_mode(mode)]),
-                future=future,
-            )
-        if acct is not None:
-            acct.lap("predictor.forward", t0)
-        self._observe_inference(profile.kind.value, start)
+        estimate = model.predict(
+            state=window,
+            signature=signature,
+            mode=np.array([encode_mode(mode)]),
+            future=future,
+        )
+        self._observe_inference(
+            profile.kind.value,
+            acct.lap("predictor.forward", t0) - t0 if acct is not None else None,
+        )
         if self.chaos is not None:
             estimate = float(
                 self.chaos.corrupt_output(
@@ -247,21 +243,18 @@ class Predictor:
             future = np.stack([s_hat, s_hat])
         else:
             window, future = self._window(history_raw), None
-        start = obs.wall_time()
         acct = perf_accounting()
         t0 = acct.clock() if acct is not None else 0.0
-        with obs.tracer().span(
-            "predictor.infer_batch", app=profile.name
-        ) if obs.enabled() else obs.NULL_SPAN:
-            estimates = model.predict(
-                state=np.stack([window, window]),
-                signature=np.stack([signature, signature]),
-                mode=np.array([[encode_mode(m)] for m in modes]),
-                future=future,
-            )
-        if acct is not None:
-            acct.lap("predictor.forward", t0)
-        self._observe_inference(profile.kind.value, start)
+        estimates = model.predict(
+            state=np.stack([window, window]),
+            signature=np.stack([signature, signature]),
+            mode=np.array([[encode_mode(m)] for m in modes]),
+            future=future,
+        )
+        self._observe_inference(
+            profile.kind.value,
+            acct.lap("predictor.forward", t0) - t0 if acct is not None else None,
+        )
         if self.chaos is not None:
             estimates = self.chaos.corrupt_output(profile.kind.value, estimates)
         return {m: float(estimates[i]) for i, m in enumerate(modes)}
@@ -275,7 +268,11 @@ class Predictor:
             labels=("entry",),
         ).labels(entry=entry).inc()
 
-    def _observe_inference(self, model_name: str, start: float) -> None:
+    def _observe_inference(
+        self, model_name: str, elapsed_s: float | None
+    ) -> None:
+        """Count one forward; ``elapsed_s`` is its phase lap (``None``
+        when phase accounting is off)."""
         if not obs.enabled():
             return
         metrics = obs.metrics()
@@ -284,11 +281,12 @@ class Predictor:
             "Predictor forward passes",
             labels=("model",),
         ).labels(model=model_name).inc()
-        metrics.histogram(
-            "predictor_inference_seconds",
-            "Wall-clock latency of one inference call",
-            labels=("model",),
-        ).labels(model=model_name).observe(obs.wall_time() - start)
+        if elapsed_s is not None:
+            metrics.histogram(
+                "predictor_inference_seconds",
+                "Wall-clock latency of one inference call",
+                labels=("model",),
+            ).labels(model=model_name).observe(elapsed_s)
 
     def _model_for(self, kind: WorkloadKind) -> PerformancePredictor:
         if kind is WorkloadKind.BEST_EFFORT:

@@ -243,7 +243,6 @@ class Trainer:
                         self, train_loader, history, early_stopping,
                         epoch_next=epoch, recoveries=guard.recoveries,
                     )
-                epoch_start = obs.wall_time()
                 try:
                     with obs.tracer().span(
                         "nn.epoch", model=self.name, epoch=epoch
@@ -265,7 +264,7 @@ class Trainer:
                         checkpoint, snapshot, error, epoch,
                     )
                     continue
-                self._observe_epoch(epoch_start, train_loss, val_loss)
+                self._observe_epoch(epoch_span, train_loss, val_loss)
                 if self.scheduler is not None:
                     self.scheduler.step(
                         val_loss if val_loss is not None else train_loss
@@ -299,10 +298,12 @@ class Trainer:
         return history
 
     def _observe_epoch(
-        self, epoch_start: float, train_loss: float, val_loss: float | None
+        self, epoch_span, train_loss: float, val_loss: float | None
     ) -> None:
-        if not obs.enabled():
-            return
+        """Export one finished epoch; its duration is the ``nn.epoch``
+        span's."""
+        if epoch_span is obs.NULL_SPAN:
+            return  # observability was off when the epoch began
         metrics = obs.metrics()
         metrics.counter(
             "nn_epochs_total", "Training epochs completed", labels=("model",)
@@ -311,7 +312,7 @@ class Trainer:
             "nn_epoch_seconds",
             "Wall-clock duration of one training epoch",
             labels=("model",),
-        ).labels(model=self.name).observe(obs.wall_time() - epoch_start)
+        ).labels(model=self.name).observe(epoch_span.duration_s)
         metrics.gauge(
             "nn_train_loss", "Latest training loss", labels=("model",)
         ).labels(model=self.name).set(train_loss)

@@ -38,7 +38,6 @@ from repro.obs.runtime import (
     reset,
     session,
     tracer,
-    wall_time,
 )
 from repro.obs.tracing import NULL_SPAN, NullTracer, Span, SpanTracer
 
@@ -53,7 +52,6 @@ __all__ = [
     "audit",
     "live_session",
     "enable_live",
-    "wall_time",
     "session",
     "dump",
     "ObsHandles",

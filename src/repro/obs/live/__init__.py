@@ -12,10 +12,10 @@ Four cooperating pieces:
   dashboard tailing the stream,
 
 coordinated by :class:`repro.obs.live.session.LiveSession` (created via
-:func:`repro.obs.enable_live`), with
-:class:`repro.obs.perf.profiler.IntervalProfiler` sampling hot-path cost
-into the same stream.  Everything honours the obs layer's contract:
-without an enabled live session the simulation is bit-identical.
+:func:`repro.obs.enable_live`), which also streams the phase-accounting
+table of :mod:`repro.obs.perf.accounting` (hot-path cost).  Everything
+honours the obs layer's contract: without an enabled live session the
+simulation is bit-identical.
 """
 
 from repro.obs.live.drift import DriftAlarm, DriftDetector, Ewma, PageHinkley

@@ -1,5 +1,5 @@
-"""Live observability session: ties stream, drift, SLO and profiler
-to the running simulation.
+"""Live observability session: ties stream, drift, SLO and the phase
+table to the running simulation.
 
 A :class:`LiveSession` is created by :func:`repro.obs.enable_live` (CLI:
 ``--obs-stream``) and attaches itself to every :class:`ClusterEngine`
@@ -23,6 +23,10 @@ Per tick the session
 4. emits one ``tick`` record (clocks, load, link regime, decision mix,
    drift scores, SLO burn) to the JSONL stream.
 
+Every ``_PROFILE_EVERY_TICKS`` ticks, and at close, it also streams the
+phase-accounting table (:mod:`repro.obs.perf.accounting`, switched on
+with observability) as a ``profile`` record.
+
 Everything runs on the session clock — cumulative simulated seconds
 across *all* engines — so back-to-back scenario replays (each restarting
 its own clock at zero) keep windows and rates well-defined.
@@ -45,11 +49,16 @@ from repro.obs import runtime
 from repro.obs.live.drift import DriftAlarm, DriftDetector
 from repro.obs.live.slo import SloEngine
 from repro.obs.live.stream import StreamExporter
-from repro.obs.perf.profiler import IntervalProfiler
+from repro.obs.perf.accounting import accounting
 
 __all__ = ["LiveSession", "STREAM_VERSION"]
 
-STREAM_VERSION = 1
+#: Version 2: ``profile`` records carry the phase table (``phases``),
+#: not sampled stack frames (``top``).
+STREAM_VERSION = 2
+
+#: Session ticks between two streamed phase tables.
+_PROFILE_EVERY_TICKS = 200
 
 _REL_EPS = 1e-9
 
@@ -86,9 +95,6 @@ class LiveSession:
         drift_threshold: float = 8.0,
         drift_min_samples: int = 8,
         on_drift: Callable[[DriftAlarm], None] | None = None,
-        profile: bool = True,
-        profile_interval_s: float = 0.02,
-        profile_every_ticks: int = 200,
         max_pending_decisions: int = 4096,
     ) -> None:
         self.out_dir = Path(out_dir)
@@ -125,10 +131,6 @@ class LiveSession:
         #: Set on the first tick from a node-labeled engine; gates the
         #: per-node drift streams and the fleet burn rollup.
         self._fleet_seen = False
-        self.profiler = (
-            IntervalProfiler(interval_s=profile_interval_s) if profile else None
-        )
-        self.profile_every_ticks = profile_every_ticks
         #: Cumulative simulated seconds across every attached engine.
         self.clock = 0.0
         self.ticks = 0
@@ -174,8 +176,6 @@ class LiveSession:
         self._engines[engine] = state
         engine.add_tick_hook(self._on_tick)
         self._current = weakref.ref(engine)
-        if self.profiler is not None and not self.profiler.running:
-            self.profiler.start()
 
     def _state(self, engine) -> "_EngineState | None":
         return self._engines.get(engine)
@@ -256,17 +256,15 @@ class LiveSession:
                 {"t": "event", "kind": "slo_alert", "sim": engine.now, **alert}
             )
         self._emit_tick(engine, state)
-        if (
-            self.profiler is not None
-            and self.profile_every_ticks > 0
-            and self.ticks % self.profile_every_ticks == 0
-        ):
+        if self.ticks % _PROFILE_EVERY_TICKS == 0:
+            self._emit_profile()
+
+    def _emit_profile(self) -> None:
+        """Stream the phase table accumulated so far (when phases are on)."""
+        acct = accounting()
+        if acct is not None:
             self.exporter.emit(
-                {
-                    "t": "profile",
-                    "clock": self.clock,
-                    **self.profiler.snapshot(),
-                }
+                {"t": "profile", "clock": self.clock, "phases": acct.snapshot()}
             )
 
     def _join_forecasts(self, engine, state: _EngineState) -> None:
@@ -483,16 +481,7 @@ class LiveSession:
         if self._closed:
             return
         self._closed = True
-        if self.profiler is not None:
-            self.profiler.stop()
-            if self.profiler.total_samples:
-                self.exporter.emit(
-                    {
-                        "t": "profile",
-                        "clock": self.clock,
-                        **self.profiler.snapshot(),
-                    }
-                )
+        self._emit_profile()
         end = {
             "t": "end",
             "ticks": self.ticks,

@@ -24,7 +24,9 @@ Record types emitted by the live session:
              throttled nodes, capacity factors) — fleet runs only;
 ``event``    discrete alarms (``drift``, ``slo_alert``,
              ``pool_throttle``);
-``profile``  interval-sampling profiler snapshot;
+``profile``  the phase-accounting table (``phases``: per phase
+             ``total_s``, ``calls``, ``mean_us``), every 200 ticks
+             and at close;
 ``end``      clean-shutdown marker — absent when the run was killed.
 """
 

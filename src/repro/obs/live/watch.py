@@ -2,7 +2,7 @@
 
 Tails the ``stream.jsonl`` written by :class:`LiveSession` and renders a
 refreshing plain-text dashboard: tick rate, link saturation regime,
-per-policy decision mix, drift scores, SLO burn and profiler hot spots.
+per-policy decision mix, drift scores, SLO burn and the hot phases.
 Works on a finished stream too (post-mortem), and in ``--once`` mode
 renders a single frame and exits — the non-interactive path CI uses.
 
@@ -24,6 +24,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from repro.analysis.reporting import format_kv, format_table
+from repro.obs.perf.accounting import is_envelope, phase_table
 
 __all__ = ["read_stream", "render_frame", "watch"]
 
@@ -71,7 +72,10 @@ def render_frame(records: list[dict], skipped: int = 0) -> str:
     """One dashboard frame from the records parsed so far."""
     ticks = [r for r in records if r.get("t") == "tick"]
     events = [r for r in records if r.get("t") == "event"]
-    profiles = [r for r in records if r.get("t") == "profile"]
+    # Version-1 streams' sampled ``profile`` records carry no phases.
+    profiles = [
+        r for r in records if r.get("t") == "profile" and r.get("phases")
+    ]
     ended = any(r.get("t") == "end" for r in records)
     if not ticks:
         return "live stream: no tick records yet"
@@ -226,25 +230,12 @@ def render_frame(records: list[dict], skipped: int = 0) -> str:
         )
 
     if profiles:
-        top = profiles[-1].get("top", [])
-        if top:
-            sections.append(
-                format_table(
-                    ["function", "samples", "share"],
-                    [
-                        (
-                            entry["fn"],
-                            entry["n"],
-                            f"{entry.get('share', 0.0) * 100:.1f}%",
-                        )
-                        for entry in top[:8]
-                    ],
-                    title=(
-                        f"Hot functions "
-                        f"({profiles[-1].get('samples', 0)} samples)"
-                    ),
-                )
-            )
+        leaves = {
+            name: entry
+            for name, entry in profiles[-1]["phases"].items()
+            if not is_envelope(name)
+        }
+        sections.append("Hot phases\n" + phase_table(leaves, top=8))
 
     return "\n\n".join(sections)
 

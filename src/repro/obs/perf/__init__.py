@@ -1,14 +1,12 @@
 """``repro.obs.perf`` — the repo's single performance-observability
 surface.
 
-Three pieces, one theme — *prove each step faster, not slower*:
+Two pieces, one theme — *prove each step faster, not slower*:
 
-* :mod:`repro.obs.perf.accounting` — deterministic phase-level tick
-  accounting (wall time + call counts per named phase), bit-inert when
-  disabled, exportable to the metrics registry and as a Chrome-trace
-  timeline;
-* :mod:`repro.obs.perf.profiler` — the statistical interval-sampling
-  profiler;
+* :mod:`repro.obs.perf.accounting` — deterministic phase-level
+  accounting (wall time + call counts per named phase), the one timer
+  on the simulation hot paths, bit-inert when disabled and exportable
+  as a Chrome-trace timeline;
 * :mod:`repro.obs.perf.gate` — the benchmark-baseline regression gate
   behind ``repro obs perfcheck`` and the CI ``perf-smoke`` job.
 
@@ -23,6 +21,8 @@ from repro.obs.perf.accounting import (
     accounting,
     disable_phases,
     enable_phases,
+    is_envelope,
+    phase_table,
     phases_session,
 )
 from repro.obs.perf.gate import (
@@ -32,7 +32,6 @@ from repro.obs.perf.gate import (
     extract_metrics,
     load_report,
 )
-from repro.obs.perf.profiler import IntervalProfiler
 
 __all__ = [
     # accounting
@@ -41,6 +40,8 @@ __all__ = [
     "enable_phases",
     "disable_phases",
     "phases_session",
+    "is_envelope",
+    "phase_table",
     "PHASE_NAMES",
     # gate
     "GateCheck",
@@ -48,6 +49,4 @@ __all__ = [
     "compare_reports",
     "extract_metrics",
     "load_report",
-    # profiler
-    "IntervalProfiler",
 ]

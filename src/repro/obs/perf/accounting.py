@@ -3,8 +3,8 @@
 A :class:`PhaseAccounting` object accumulates wall time and call counts
 per named phase — ``engine.arbitration``, ``predictor.forward``,
 ``policy.decide``, ... — so a tick's cost is attributable to the step
-that spent it.  The instrumented call sites (engine tick, predictor
-window/Ŝ/forward, policy decide) reach it through the module-level
+that spent it.  The instrumented call sites (engine and fleet ticks,
+predictor window/Ŝ/forward, policy decide) reach it through the module-level
 :func:`accounting` accessor, which returns ``None`` until
 :func:`enable_phases` is called:
 
@@ -13,8 +13,14 @@ window/Ŝ/forward, policy decide) reach it through the module-level
   access — so seeded runs are bit-identical to an uninstrumented build;
 * **enabled** the engine tick records its sub-phases as *contiguous
   laps* (each lap starts where the previous one ended), so the per-tick
-  phase totals sum exactly to the recorded tick total.
+  phase totals sum exactly to the recorded tick total.  A lap around
+  work that itself records laps (``policy.decide`` around the predictor,
+  ``fleet.health`` around failover placements) records only its own
+  time, so every second lands in exactly one leaf phase.
 
+The laps are the only timer on these paths: :func:`repro.obs.enable`
+switches phase accounting on, and the ``engine_tick_seconds`` and
+``predictor_inference_seconds`` histograms observe the lap intervals.
 When a :class:`~repro.obs.tracing.SpanTracer` is attached, every lap is
 additionally forwarded as a Chrome-trace complete event, producing a
 per-phase timeline loadable in ``chrome://tracing`` / Perfetto.
@@ -43,6 +49,8 @@ __all__ = [
     "enable_phases",
     "disable_phases",
     "phases_session",
+    "is_envelope",
+    "phase_table",
     "PHASE_NAMES",
 ]
 
@@ -61,8 +69,50 @@ PHASE_NAMES = (
     "predictor.window",     # feature/window build (impute + subsample)
     "predictor.system_state",  # Ŝ computation (system-state forward)
     "predictor.forward",    # performance-model forward
-    "policy.decide",        # end-to-end placement decision
+    "policy.decide",        # placement decision, less its predictor laps
+    "fleet.health",         # heartbeats + failover, less its placements
+    "fleet.arbitration",    # rack-pool bandwidth water-fill
 )
+
+
+def is_envelope(name: str) -> bool:
+    """Whether ``name`` is a whole-tick envelope rather than a leaf.
+
+    ``engine.tick`` and the per-node ``engine.tick[nX]`` totals contain
+    the ``engine.*`` laps, so they are not a cost of their own.
+    """
+    return name == "engine.tick" or name.startswith("engine.tick[")
+
+
+def phase_table(
+    phases: dict[str, dict[str, float]], top: int | None = None
+) -> str:
+    """Ranked (by total time) table of a :meth:`PhaseAccounting.snapshot`.
+
+    Shares are of the leaf total; envelopes show a zero share.  Serves
+    ``repro obs profile``, the bench report and the ``repro obs watch``
+    panel alike.
+    """
+    rows = sorted(phases.items(), key=lambda item: -item[1]["total_s"])
+    leaf_total = sum(
+        entry["total_s"] for name, entry in rows if not is_envelope(name)
+    )
+    if top is not None:
+        rows = rows[:top]
+    lines = [
+        f"{'phase':<24} {'total':>10} {'calls':>10} {'mean':>10} {'share':>7}"
+    ]
+    for name, entry in rows:
+        total, calls = entry["total_s"], int(entry["calls"])
+        share = (
+            total / leaf_total if leaf_total and not is_envelope(name) else 0.0
+        )
+        mean_us = total / calls * 1e6 if calls else 0.0
+        lines.append(
+            f"{name:<24} {total * 1e3:>8.2f}ms {calls:>10d} "
+            f"{mean_us:>8.1f}us {share:>6.1%}"
+        )
+    return "\n".join(lines)
 
 
 class PhaseAccounting:
@@ -70,50 +120,60 @@ class PhaseAccounting:
 
     The hot-path API is :meth:`lap`: ``t = acct.lap(name, t)`` records
     ``now - t`` against ``name`` and returns ``now``, so consecutive
-    laps tile an interval with one clock read per boundary.
+    laps tile an interval with one clock read per boundary.  A lap
+    around work that records laps of its own passes ``nested``, the
+    growth of :attr:`recorded` over the interval::
+
+        t0, inner = acct.clock(), acct.recorded
+        decide()
+        acct.lap("policy.decide", t0, nested=acct.recorded - inner)
     """
 
-    __slots__ = ("clock", "tracer", "_acc")
+    __slots__ = ("clock", "tracer", "recorded", "_acc")
 
     def __init__(self, tracer: "SpanTracer | None" = None) -> None:
         #: The clock shared with :class:`SpanTracer` (perf_counter), so
         #: forwarded timeline events land on the tracer's own timebase.
         self.clock = time.perf_counter
         self.tracer = tracer
+        #: Seconds recorded by every lap so far (envelopes excluded).
+        self.recorded = 0.0
         #: name -> [total_s, calls]
         self._acc: dict[str, list] = {}
 
     # -- hot-path recording --------------------------------------------------
-    def lap(self, name: str, t_prev: float) -> float:
-        """Record the elapsed time since ``t_prev``; return the new mark."""
+    def lap(self, name: str, t_prev: float, nested: float = 0.0) -> float:
+        """Record the time since ``t_prev``, less the ``nested`` seconds
+        laps inside the interval already recorded; return the new mark.
+
+        The tracer mirror keeps the full interval, so the timeline still
+        shows the nesting.
+        """
         now = self.clock()
+        elapsed = now - t_prev - nested
+        self.recorded += elapsed
         slot = self._acc.get(name)
         if slot is None:
-            self._acc[name] = [now - t_prev, 1]
+            self._acc[name] = [elapsed, 1]
         else:
-            slot[0] += now - t_prev
+            slot[0] += elapsed
             slot[1] += 1
         if self.tracer is not None:
             self.tracer.record_complete(name, t_prev, now, category="perf")
         return now
 
     def add(self, name: str, elapsed_s: float) -> None:
-        """Accumulate an externally measured duration (no clock read)."""
+        """Accumulate an envelope total measured by laps (no clock read).
+
+        Envelopes contain leaf laps, so they do not count towards
+        :attr:`recorded`.
+        """
         slot = self._acc.get(name)
         if slot is None:
             self._acc[name] = [elapsed_s, 1]
         else:
             slot[0] += elapsed_s
             slot[1] += 1
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Context manager for coarse (non-tick-rate) phases."""
-        start = self.clock()
-        try:
-            yield
-        finally:
-            self.lap(name, start)
 
     # -- views ---------------------------------------------------------------
     def __len__(self) -> int:
@@ -140,58 +200,11 @@ class PhaseAccounting:
         }
 
     def table(self, top: int | None = None) -> str:
-        """Ranked (by total time) human-readable phase table.
-
-        ``engine.tick`` is the whole-tick envelope, not a separate cost
-        — as are the per-node ``engine.tick[nX]`` envelopes fleet
-        engines record — so shares are computed against the sum of the
-        *leaf* phases.
-        """
-        def is_envelope(name: str) -> bool:
-            return name == "engine.tick" or name.startswith("engine.tick[")
-
-        rows = sorted(
-            ((name, total, calls) for name, (total, calls) in self._acc.items()),
-            key=lambda row: -row[1],
-        )
-        leaf_total = sum(
-            total for name, total, _ in rows if not is_envelope(name)
-        )
-        if top is not None:
-            rows = rows[:top]
-        lines = [
-            f"{'phase':<24} {'total':>10} {'calls':>10} {'mean':>10} {'share':>7}"
-        ]
-        for name, total, calls in rows:
-            share = (
-                total / leaf_total
-                if leaf_total and not is_envelope(name)
-                else 0.0
-            )
-            mean_us = total / calls * 1e6 if calls else 0.0
-            lines.append(
-                f"{name:<24} {total * 1e3:>8.2f}ms {calls:>10d} "
-                f"{mean_us:>8.1f}us {share:>6.1%}"
-            )
-        return "\n".join(lines)
-
-    def export(self, registry) -> None:
-        """Push totals into a metrics registry as labeled counters."""
-        seconds = registry.counter(
-            "perf_phase_seconds_total",
-            "Accumulated wall time per instrumented phase",
-            labels=("phase",),
-        )
-        calls = registry.counter(
-            "perf_phase_calls_total",
-            "Invocations per instrumented phase",
-            labels=("phase",),
-        )
-        for name, (total, count) in sorted(self._acc.items()):
-            seconds.labels(phase=name).inc(total)
-            calls.labels(phase=name).inc(count)
+        """Ranked human-readable phase table (see :func:`phase_table`)."""
+        return phase_table(self.snapshot(), top)
 
     def reset(self) -> None:
+        self.recorded = 0.0
         self._acc.clear()
 
 

@@ -38,7 +38,7 @@ from repro.models.performance import PerformancePredictor
 from repro.models.predictor import Predictor
 from repro.models.signatures import SignatureLibrary
 from repro.models.system_state import SystemStatePredictor
-from repro.obs.perf.accounting import phases_session
+from repro.obs.perf.accounting import phase_table, phases_session
 from repro.orchestrator.policies import AdriasPolicy
 from repro.workloads import MemoryMode, spark_profile
 from repro.workloads.base import WorkloadKind
@@ -49,6 +49,7 @@ __all__ = [
     "bench_decisions",
     "bench_fleet",
     "bench_phases",
+    "congested_adrias",
     "profile_run",
     "run_engine_bench",
     "format_report",
@@ -284,23 +285,15 @@ def bench_fleet(
 
 
 # -- phase breakdown ---------------------------------------------------------
-def profile_run(
-    duration_s: float = 300.0,
-    hidden: int = 32,
-    seed: int = 0,
-    tracer=None,
-):
-    """Run a congested Adrias scenario under phase accounting.
-
-    Returns the :class:`~repro.obs.perf.accounting.PhaseAccounting`
-    accumulator (``repro obs profile`` prints its ranked table and, when
-    ``tracer`` is a :class:`~repro.obs.tracing.SpanTracer`, dumps the
-    per-phase Chrome-trace timeline).
+def congested_adrias(
+    duration_s: float = 300.0, hidden: int = 32, seed: int = 0
+) -> tuple[ScenarioConfig, AdriasPolicy]:
+    """A congested {5, 20} s scenario and an Adrias policy to replay it.
 
     Signatures are pre-captured so first-encounter capture runs (whole
-    isolated scenarios) do not pollute the breakdown; the measured run
-    then exercises every phase: tick sub-steps, window build, Ŝ,
-    performance forwards and the policy rule.
+    isolated scenarios) do not pollute a measurement; a replay then
+    exercises every phase: tick sub-steps, window build, Ŝ, performance
+    forwards and the policy rule.
     """
     config = FeatureConfig()
     predictor = fabricate_predictor(config, lstm_hidden=hidden, seed=seed)
@@ -314,7 +307,23 @@ def profile_run(
     # the fitted range covers idle through peak concurrency.
     warm_trace = run_scenario(scenario)
     _calibrate(predictor, warm_trace)
-    policy = AdriasPolicy(predictor)
+    return scenario, AdriasPolicy(predictor)
+
+
+def profile_run(
+    duration_s: float = 300.0,
+    hidden: int = 32,
+    seed: int = 0,
+    tracer=None,
+):
+    """Replay :func:`congested_adrias` under phase accounting.
+
+    Returns the :class:`~repro.obs.perf.accounting.PhaseAccounting`
+    accumulator (``repro obs profile`` prints its ranked table and, when
+    ``tracer`` is a :class:`~repro.obs.tracing.SpanTracer`, dumps the
+    per-phase Chrome-trace timeline).
+    """
+    scenario, policy = congested_adrias(duration_s, hidden, seed)
     with phases_session(tracer=tracer) as acct:
         run_scenario(scenario, scheduler=policy)
     return acct
@@ -417,22 +426,6 @@ def format_report(report: dict) -> str:
             )
     phases = report.get("phases", {})
     if phases:
-        total = sum(
-            entry["total_s"] for name, entry in phases.items()
-            if name != "engine.tick"
-        )
         lines.append("phase breakdown (congested Adrias scenario):")
-        ranked = sorted(
-            phases.items(), key=lambda item: -item[1]["total_s"]
-        )
-        for name, entry in ranked:
-            share = (
-                entry["total_s"] / total
-                if total and name != "engine.tick" else 0.0
-            )
-            lines.append(
-                f"  {name:<24} {entry['total_s'] * 1e3:>9.2f} ms "
-                f"{int(entry['calls']):>9d} calls "
-                f"{entry['mean_us']:>9.1f} us/call {share:>6.1%}"
-            )
+        lines.extend(f"  {line}" for line in phase_table(phases).splitlines())
     return "\n".join(lines)

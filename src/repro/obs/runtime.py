@@ -8,6 +8,10 @@ called.  Disabled is the default, so simulation results and benchmark
 numbers are bit-identical to an uninstrumented build: the instruments
 never touch any RNG and the null objects absorb every call.
 
+:func:`enable` also switches on phase accounting
+(:mod:`repro.obs.perf.accounting`): its laps are the one timer of the
+hot paths, and the timing histograms observe their intervals.
+
 Typical usage::
 
     from repro import obs
@@ -22,7 +26,6 @@ or, from the CLI, ``python -m repro run fig16 --obs-out out/``.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +34,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro.obs.audit import NULL_AUDIT, DecisionAuditLog, NullAuditLog
 from repro.obs.fsio import atomic_write_text
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, NullRegistry
+from repro.obs.perf.accounting import accounting, disable_phases, enable_phases
 from repro.obs.tracing import NULL_TRACER, NullTracer, SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover - the live layer imports lazily
@@ -47,7 +51,6 @@ __all__ = [
     "audit",
     "live_session",
     "enable_live",
-    "wall_time",
     "session",
     "dump",
     "ARTIFACT_NAMES",
@@ -97,6 +100,9 @@ _metrics: MetricsRegistry | NullRegistry = NULL_REGISTRY
 _tracer: SpanTracer | NullTracer = NULL_TRACER
 _audit: DecisionAuditLog | NullAuditLog = NULL_AUDIT
 _live: "LiveSession | None" = None
+#: Whether :func:`enable` switched phase accounting on (and so
+#: :func:`disable` switches it off again).
+_owns_phases: bool = False
 
 
 def enabled() -> bool:
@@ -134,8 +140,7 @@ def enable_live(out_dir: str | Path, **kwargs) -> "LiveSession":
     Implies :func:`enable` — the live layer reads the shared metrics
     registry and audit log.  Keyword arguments are forwarded to
     :class:`repro.obs.live.session.LiveSession` (SLO targets, drift
-    thresholds, profiler cadence, ...).  The session is torn down by
-    :func:`disable`.
+    thresholds, ...).  The session is torn down by :func:`disable`.
     """
     global _live
     enable()
@@ -146,22 +151,20 @@ def enable_live(out_dir: str | Path, **kwargs) -> "LiveSession":
     return _live
 
 
-def wall_time() -> float:
-    """Monotonic wall time when enabled; constant 0.0 when disabled.
-
-    Hot paths use ``start = obs.wall_time()`` so the disabled path skips
-    the clock syscall entirely.
-    """
-    return time.perf_counter() if _enabled else 0.0
-
-
 def enable() -> ObsHandles:
-    """Switch on collection (idempotent); returns the live handles."""
-    global _enabled, _metrics, _tracer, _audit
+    """Switch on collection and phase accounting (idempotent); returns
+    the live handles.
+
+    Phase accounting already on (a :func:`~repro.obs.perf.phases_session`
+    opened first) is shared, and left on by :func:`disable`.
+    """
+    global _enabled, _metrics, _tracer, _audit, _owns_phases
     if not _enabled:
         _metrics = MetricsRegistry()
         _tracer = SpanTracer()
         _audit = DecisionAuditLog()
+        _owns_phases = accounting() is None
+        enable_phases()
         _enabled = True
     assert isinstance(_metrics, MetricsRegistry)
     assert isinstance(_tracer, SpanTracer)
@@ -173,12 +176,16 @@ def disable() -> None:
     """Switch collection off and drop the collectors.
 
     An active live session is closed first (final flush + ``end``
-    record), so its stream is complete on disk.
+    record), so its stream is complete on disk.  Phase accounting goes
+    off only if :func:`enable` switched it on.
     """
-    global _enabled, _metrics, _tracer, _audit, _live
+    global _enabled, _metrics, _tracer, _audit, _live, _owns_phases
     if _live is not None:
         _live.close()
         _live = None
+    if _owns_phases:
+        disable_phases()
+        _owns_phases = False
     _enabled = False
     _metrics = NULL_REGISTRY
     _tracer = NULL_TRACER
@@ -195,6 +202,9 @@ def reset() -> None:
     _metrics.reset()
     _tracer.reset()
     _audit.reset()
+    acct = accounting()
+    if _owns_phases and acct is not None:
+        acct.reset()
     journal = _active_journal()
     if journal is not None:
         journal.reset()

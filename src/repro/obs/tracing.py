@@ -24,9 +24,15 @@ __all__ = ["Span", "SpanTracer", "NullTracer", "NULL_TRACER", "NULL_SPAN"]
 
 
 class Span:
-    """One in-flight span; use via ``with tracer.span(...) as span:``."""
+    """One in-flight span; use via ``with tracer.span(...) as span:``.
 
-    __slots__ = ("tracer", "name", "category", "args", "start_us", "_done")
+    After the block exits, :attr:`duration_s` holds the recorded
+    event's duration, so a histogram can observe the span itself.
+    """
+
+    __slots__ = (
+        "tracer", "name", "category", "args", "start_us", "duration_s", "_done",
+    )
 
     def __init__(
         self, tracer: "SpanTracer", name: str, category: str, args: dict
@@ -36,6 +42,7 @@ class Span:
         self.category = category
         self.args = args
         self.start_us = 0.0
+        self.duration_s = 0.0
         self._done = False
 
     def set(self, **args: object) -> None:
@@ -55,7 +62,7 @@ class Span:
         depth = self.tracer._pop(self)
         if exc_type is not None:
             self.args.setdefault("error", exc_type.__name__)
-        self.tracer._record(self, end_us, depth)
+        self.duration_s = self.tracer._record(self, end_us, depth) / 1e6
 
 
 class SpanTracer:
@@ -147,7 +154,8 @@ class SpanTracer:
             return depth
         return 0  # pragma: no cover - exited out of order
 
-    def _record(self, span: Span, end_us: float, depth: int) -> None:
+    def _record(self, span: Span, end_us: float, depth: int) -> float:
+        """Append ``span``'s complete event; returns its ``dur`` (µs)."""
         event = {
             "name": span.name,
             "cat": span.category,
@@ -160,6 +168,7 @@ class SpanTracer:
         }
         with self._lock:
             self.events.append(event)
+        return event["dur"]
 
     # -- queries / export ----------------------------------------------------
     def __len__(self) -> int:

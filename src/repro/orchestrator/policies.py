@@ -22,7 +22,7 @@ from repro.faults.breaker import CircuitBreaker
 from repro.faults.checkpoint import require_fields
 from repro.faults.errors import CorruptPrediction, InferenceFault
 from repro.models.predictor import Predictor
-from repro.obs.perf import accounting as perf_accounting
+from repro.obs.perf.accounting import accounting as perf_accounting
 from repro.workloads.base import MemoryMode, WorkloadKind, WorkloadProfile
 
 __all__ = [
@@ -65,9 +65,10 @@ class _BasePolicy:
     def __call__(self, profile: WorkloadProfile, engine: ClusterEngine) -> MemoryMode:
         acct = perf_accounting()
         if acct is not None:
-            t0 = acct.clock()
+            # The decision's own time: its predictor laps count once.
+            t0, inner = acct.clock(), acct.recorded
             mode = self.decide(profile, engine)
-            acct.lap("policy.decide", t0)
+            acct.lap("policy.decide", t0, nested=acct.recorded - inner)
         else:
             mode = self.decide(profile, engine)
         if self.safety is not None:

@@ -1,5 +1,7 @@
 """Fleet failure domains: detector, failover, device loss, conservation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from repro.__main__ import main
 from repro.cluster.failover import (
     FailoverConfig,
+    FailoverEntry,
     FleetHealthManager,
     NodeHealth,
 )
@@ -18,6 +21,7 @@ from repro.cluster.fleet import (
     PoolAwarePlacement,
 )
 from repro.cluster.engine import CapacityError, NodeDownError
+from repro.faults.errors import CheckpointError
 from repro.faults.plan import FaultPlan, FaultPlanError, FaultSpec
 from repro.hardware.pool import RemotePool, RemotePoolConfig
 from repro.orchestrator.policies import InterferenceThresholdPolicy
@@ -184,6 +188,50 @@ class TestFailover:
         fleet.run_for(20.0)
         assert manager.recovery_times
         assert all(t >= 0.0 for t in manager.recovery_times)
+
+
+class TestFailoverEntries:
+    @staticmethod
+    def parked_fleet():
+        """Both nodes of a two-node rack down: two entries stay parked."""
+        n0_crash = FaultSpec(kind="node_crash", start_s=5.0, duration_s=100.0,
+                             params={"node": "n0"})
+        fleet, manager = make_fleet(
+            crash_plan(node="n1", start=5.0, duration=100.0, extra=(n0_crash,)),
+            n_nodes=2,
+        )
+        admit(fleet, 1, name="lda")
+        admit(fleet, 1, mode=MemoryMode.REMOTE, name="gmm")
+        fleet.run_for(10.0)
+        assert manager.pending == 2
+        return fleet, manager
+
+    def test_state_dict_round_trips_typed_entries(self):
+        fleet, manager = self.parked_fleet()
+        state = json.loads(json.dumps(manager.state_dict()))
+        saved = state["failover_queue"]
+        assert [list(entry) for entry in saved] == [[
+            "profile", "mode", "duration_s", "decided_s", "from_node", "cause",
+        ]] * 2
+        assert [(e["profile"], e["mode"]) for e in saved] == [
+            ("lda", "local"), ("gmm", "remote"),
+        ]
+        restored = FleetHealthManager(manager.plan)
+        restored.load_state_dict(
+            state, {name: spark_profile(name) for name in ("lda", "gmm")}
+        )
+        assert all(isinstance(e, FailoverEntry) for e in restored.failover_queue)
+        assert restored.failover_queue == manager.failover_queue
+
+    def test_unknown_field_in_entry_is_rejected(self):
+        _, manager = self.parked_fleet()
+        state = manager.state_dict()
+        state["failover_queue"][1]["attempts"] = 3
+        restored = FleetHealthManager(manager.plan)
+        with pytest.raises(CheckpointError, match=r"failover entry.*\['attempts'\]"):
+            restored.load_state_dict(
+                state, {name: spark_profile(name) for name in ("lda", "gmm")}
+            )
 
 
 class TestPlacementExclusion:

@@ -103,8 +103,7 @@ class TestObservability:
     def test_state_gauge_carries_policy_and_node_labels(self, tmp_path):
         from repro import obs
 
-        live = obs.enable_live(tmp_path / "live", flush_every=1,
-                               profile=False)
+        live = obs.enable_live(tmp_path / "live", flush_every=1)
         breaker = CircuitBreaker(
             failure_threshold=1, cooldown_s=10.0, name="adrias", node="n3"
         )

@@ -113,9 +113,7 @@ class TestWaterfillTelemetry:
 
 class TestPoolStreamRecords:
     def run_stream(self, tmp_path, **pool_kwargs):
-        live = obs.enable_live(
-            tmp_path / "live", flush_every=1, profile=False
-        )
+        live = obs.enable_live(tmp_path / "live", flush_every=1)
         fleet = congested_fleet(**pool_kwargs)
         fleet.run_for(3.0)
         obs.disable()

@@ -111,9 +111,7 @@ class TestRendering:
 class TestCli:
     @pytest.fixture()
     def stream_path(self, tmp_path):
-        live = obs.enable_live(
-            tmp_path / "live", flush_every=1, profile=False
-        )
+        live = obs.enable_live(tmp_path / "live", flush_every=1)
         run_fleet_scenario(
             FleetScenarioConfig(
                 scenario=ScenarioConfig(

@@ -28,7 +28,6 @@ def scheduler():
 
 def stream_fleet(tmp_path, name="live", **live_kwargs):
     live_kwargs.setdefault("flush_every", 1)
-    live_kwargs.setdefault("profile", False)
     live_kwargs.setdefault("qos_p99_ms", QOS)
     live = obs.enable_live(tmp_path / name, **live_kwargs)
     fleet = run_fleet_scenario(fleet_config(), scheduler=scheduler())
@@ -101,7 +100,7 @@ class TestFleetStreamRecords:
 class TestFleetSloMetrics:
     def test_node_and_fleet_burn_gauges_exported(self, tmp_path):
         live = obs.enable_live(
-            tmp_path / "live", flush_every=1, profile=False, qos_p99_ms=QOS
+            tmp_path / "live", flush_every=1, qos_p99_ms=QOS
         )
         run_fleet_scenario(fleet_config(), scheduler=scheduler())
         registry = obs.metrics()
@@ -125,14 +124,23 @@ class TestFleetStreamDeterminism:
     @staticmethod
     def canonical(records):
         volatile = {"wall", "created_unix"}
-        return [
-            {k: v for k, v in record.items() if k not in volatile}
-            for record in records
-        ]
+        out = []
+        for record in records:
+            record = {k: v for k, v in record.items() if k not in volatile}
+            if record["t"] == "profile":
+                # Phase totals are wall time, like "wall"; the phase
+                # names and call counts are not.
+                record["phases"] = {
+                    name: entry["calls"]
+                    for name, entry in record["phases"].items()
+                }
+            out.append(record)
+        return out
 
     def test_two_seeded_runs_stream_identically(self, tmp_path):
         _, first = stream_fleet(tmp_path, name="a")
         _, second = stream_fleet(tmp_path, name="b")
+        assert any(record["t"] == "profile" for record in first)
         assert self.canonical(first) == self.canonical(second)
 
     def test_streamed_run_matches_unobserved_run(self, tmp_path):

@@ -16,7 +16,6 @@ from repro.workloads.registry import lc_profiles
 
 def live_session(tmp_path, **kwargs):
     kwargs.setdefault("flush_every", 1)
-    kwargs.setdefault("profile", False)
     return obs.enable_live(tmp_path / "live", **kwargs)
 
 
@@ -55,7 +54,7 @@ class TestStreamRecords:
         records, skipped = read_stream(live.exporter.path)
         assert skipped == 0
         assert records[0]["t"] == "meta"
-        assert records[0]["version"] == 1
+        assert records[0]["version"] == 2
         ticks = [r for r in records if r["t"] == "tick"]
         assert len(ticks) == 5
         assert ticks[-1]["clock"] == 5.0
@@ -99,6 +98,45 @@ class TestStreamRecords:
         assert "stream.jsonl" in paths
         assert "stream.prom" in paths
         assert paths["stream.prom"].read_text().startswith("#")
+
+
+class TestProfileRecords:
+    """The live stream carries the phase table, not sampled frames."""
+
+    @staticmethod
+    def profiles(tmp_path):
+        live = live_session(tmp_path)
+        run_scenario(
+            ScenarioConfig(duration_s=450.0, seed=5),
+            scheduler=RandomPolicy(seed=5),
+        )
+        path = live.exporter.path
+        obs.disable()
+        records, _ = read_stream(path)
+        return [r for r in records if r["t"] == "profile"], records[-1]
+
+    def test_streamed_every_200_ticks_and_at_close(self, tmp_path):
+        profiles, end = self.profiles(tmp_path)
+        assert [p["clock"] for p in profiles[:-1]] == [
+            200.0 * k for k in range(1, end["ticks"] // 200 + 1)
+        ]
+        final = profiles[-1]["phases"]
+        assert {"engine.arbitration", "engine.advance", "policy.decide"} <= set(
+            final
+        )
+        assert final["engine.tick"]["calls"] == end["ticks"]
+
+    def test_phase_names_and_calls_identical_across_seeded_runs(self, tmp_path):
+        def calls(profiles):
+            return [
+                {name: entry["calls"] for name, entry in p["phases"].items()}
+                for p in profiles
+            ]
+
+        first, _ = self.profiles(tmp_path / "a")
+        second, _ = self.profiles(tmp_path / "b")
+        assert len(first) >= 3
+        assert calls(first) == calls(second)
 
 
 class TestForecastJoin:

@@ -16,7 +16,7 @@ from repro.workloads.registry import be_profiles
 @pytest.fixture()
 def stream_path(tmp_path):
     """A small recorded stream with ticks, decisions and an end record."""
-    live = obs.enable_live(tmp_path / "live", flush_every=1, profile=False)
+    live = obs.enable_live(tmp_path / "live", flush_every=1)
     for i in range(10):
         live.drift.observe("be", 0.1 * i, clock=float(i))
     engine = ClusterEngine()
@@ -53,6 +53,24 @@ class TestRenderFrame:
         assert "random" in frame
         assert "Link saturation regime" in frame
         assert "Predictor drift" in frame
+
+    def test_hot_phases_panel_lists_leaf_phases(self, stream_path):
+        records, _ = read_stream(stream_path)
+        assert any(r["t"] == "profile" for r in records)
+        panel = render_frame(records).split("Hot phases\n", 1)[1]
+        rows = [line.split()[0] for line in panel.split("\n\n")[0].splitlines()]
+        assert rows[0] == "phase"
+        assert "engine.advance" in rows and "policy.decide" in rows
+        assert "engine.tick" not in rows  # the envelope is not a leaf
+
+    def test_sampled_profile_records_are_ignored(self, stream_path):
+        records, _ = read_stream(stream_path)
+        records = [r for r in records if r["t"] != "profile"]
+        records.append({
+            "t": "profile", "clock": 1.0, "samples": 4, "interval_s": 0.02,
+            "top": [{"fn": "engine.tick", "n": 4, "share": 1.0}],
+        })
+        assert "Hot phases" not in render_frame(records)
 
     def test_no_ticks_yet(self):
         assert "no tick records" in render_frame([{"t": "meta"}])
@@ -188,8 +206,7 @@ class TestCli:
 
 class TestEndReason:
     def test_end_line_reports_stream_reason(self, tmp_path):
-        live = obs.enable_live(tmp_path / "live", flush_every=1,
-                               profile=False)
+        live = obs.enable_live(tmp_path / "live", flush_every=1)
         path = live.exporter.path
         live.close(reason="daemon draining")
         obs.disable()

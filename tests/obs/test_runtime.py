@@ -7,6 +7,7 @@ from repro import obs
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.scenario import ScenarioConfig, run_scenario
 from repro.obs.metrics import NullRegistry
+from repro.obs.perf import accounting
 from repro.workloads import MemoryMode, spark_profile
 
 
@@ -14,14 +15,15 @@ class TestLifecycle:
     def test_disabled_by_default(self):
         assert not obs.enabled()
         assert isinstance(obs.metrics(), NullRegistry)
-        assert obs.wall_time() == 0.0
+        assert accounting() is None
 
     def test_session_enables_and_restores(self):
         with obs.session() as handles:
             assert obs.enabled()
             assert obs.metrics() is handles.metrics
-            assert obs.wall_time() > 0.0
+            assert accounting() is not None
         assert not obs.enabled()
+        assert accounting() is None
 
     def test_nested_session_shares_collectors(self):
         with obs.session() as outer:
@@ -41,9 +43,12 @@ class TestLifecycle:
     def test_reset_clears_without_disabling(self):
         with obs.session() as handles:
             handles.metrics.counter("x_total").inc()
+            ClusterEngine().tick()
             obs.reset()
             assert obs.enabled()
             assert len(handles.metrics) == 0
+            # The phase laps the timing histograms mirror clear with them.
+            assert len(accounting()) == 0
 
 
 class TestEngineInstrumentation:

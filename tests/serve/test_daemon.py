@@ -193,7 +193,7 @@ class TestRequestHandling:
 
 class TestSafetyIntegration:
     def test_veto_is_audited_and_counted(self, clock, tmp_path):
-        obs.enable_live(tmp_path / "live", flush_every=1, profile=False)
+        obs.enable_live(tmp_path / "live", flush_every=1)
         envelope = SafetyEnvelope(
             (SafetyConstraint("max_concurrent_remote", 1),)
         )
@@ -324,8 +324,7 @@ class TestCheckpoint:
         daemon = make_daemon(clock)
         daemon.handle_line(json.dumps({"op": "deploy", "app": "redis"}))
         path = daemon.save(tmp_path / "d.ckpt")
-        live = obs.enable_live(tmp_path / "live", flush_every=1,
-                               profile=False)
+        live = obs.enable_live(tmp_path / "live", flush_every=1)
         restored = OrchestratorDaemon.restore(path, clock=clock)
         restored.handle_line(json.dumps({"op": "tick", "n": 3}))
         records = [
@@ -386,8 +385,7 @@ class TestCheckpoint:
     def test_finalize_writes_checkpoint_and_annotates_stream(
         self, clock, tmp_path
     ):
-        live = obs.enable_live(tmp_path / "live", flush_every=1,
-                               profile=False)
+        live = obs.enable_live(tmp_path / "live", flush_every=1)
         stream = live.exporter.path
         daemon = make_daemon(
             clock, checkpoint_path=str(tmp_path / "final.ckpt")

@@ -198,8 +198,7 @@ class TestMonitorVerdicts:
 
 class TestObservability:
     def test_veto_metered_and_streamed_edge_triggered(self, tmp_path):
-        live = obs.enable_live(tmp_path / "live", flush_every=1,
-                               profile=False)
+        live = obs.enable_live(tmp_path / "live", flush_every=1)
         fleet = ClusterFleet(n_nodes=1)
         engine = fleet.engines[0]
         engine.deploy(profile_be(), MemoryMode.REMOTE)
@@ -228,8 +227,7 @@ class TestObservability:
         assert vetoes[0]["action"] == "veto"
 
     def test_clear_event_after_constraint_recovers(self, tmp_path):
-        live = obs.enable_live(tmp_path / "live", flush_every=1,
-                               profile=False)
+        live = obs.enable_live(tmp_path / "live", flush_every=1)
         fleet = ClusterFleet(n_nodes=1)
         engine = fleet.engines[0]
         blocker = engine.deploy(profile_be(), MemoryMode.REMOTE)
