@@ -45,9 +45,12 @@ class Trace:
     @property
     def metrics(self) -> np.ndarray:
         """Counter matrix of shape ``(ticks, n_metrics)``."""
-        if not self._counter_rows:
-            return np.zeros((0, len(METRIC_NAMES)))
-        return np.vstack(self._counter_rows)
+        return self._rows(0, len(self._counter_rows))
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        """``metrics[start:stop]``, stacking only the rows it returns."""
+        rows = self._counter_rows[start:stop]
+        return np.vstack(rows) if rows else np.zeros((0, len(METRIC_NAMES)))
 
     def metric(self, name: str) -> np.ndarray:
         """Time series of a single named metric."""
@@ -71,11 +74,9 @@ class Trace:
         steps = int(round(length_s / self.dt))
         end_idx = int(round(end_time / self.dt))
         start_idx = end_idx - steps
-        data = self.metrics
-        end_idx = min(end_idx, len(self.times))
-        rows = data[max(0, start_idx) : end_idx]
+        rows = self._rows(max(0, start_idx), end_idx)
         if start_idx < 0 or rows.shape[0] < steps:
-            pad = np.zeros((steps - rows.shape[0], data.shape[1]))
+            pad = np.zeros((steps - rows.shape[0], rows.shape[1]))
             rows = np.vstack([pad, rows]) if rows.size else pad
         return rows
 
@@ -89,7 +90,7 @@ class Trace:
             raise ValueError("horizon length must be positive")
         start_idx = int(round(start_time / self.dt))
         steps = int(round(length_s / self.dt))
-        rows = self.metrics[start_idx : start_idx + steps]
+        rows = self._rows(start_idx, start_idx + steps)
         if rows.shape[0] == 0:
             raise ValueError("horizon window lies outside the trace")
         return rows.mean(axis=0)

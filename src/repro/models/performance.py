@@ -90,6 +90,16 @@ class PerformanceModel(Module):
         future:
             (N, M) future system state Ŝ; required iff ``use_future``.
         """
+        enc_s = self.state_encoder.forward(state)
+        enc_k = self.signature_encoder.forward(signature)
+        return self.score(enc_s, enc_k, mode, future)
+
+    def score(
+        self, enc_s: np.ndarray, enc_k: np.ndarray, mode: np.ndarray,
+        future: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The head over encoded inputs, one output row per (N, 1) mode
+        flag; a one-row ``enc_s``, ``enc_k`` or ``future`` serves all N."""
         if self.use_future and future is None:
             raise ValueError("model was built with use_future=True; Ŝ required")
         if not self.use_future and future is not None:
@@ -97,12 +107,13 @@ class PerformanceModel(Module):
         mode = np.asarray(mode, dtype=np.float64)
         if mode.ndim != 2 or mode.shape[1] != 1:
             raise ValueError("mode must have shape (N, 1)")
-        enc_s = self.state_encoder.forward(state)
-        enc_k = self.signature_encoder.forward(signature)
         parts = [enc_s, enc_k, mode]
         if self.use_future:
             parts.append(np.asarray(future, dtype=np.float64))
-        hidden = np.concatenate(parts, axis=1)
+        rows = mode.shape[0]
+        hidden = np.concatenate(
+            [np.broadcast_to(p, (rows, p.shape[-1])) for p in parts], axis=1
+        )
         return self.head.forward(hidden)
 
     def backward(self, grad: np.ndarray) -> None:
@@ -145,6 +156,8 @@ class PerformancePredictor:
         self.target_scaler = StandardScaler()
         self.seed = seed
         self._trained = False
+        # Scaled-signature bytes -> encoding; fit() and load() clear it.
+        self._signature_encodings: dict[bytes, np.ndarray] = {}
 
     # -- helpers ----------------------------------------------------------
     def _scale_inputs(
@@ -220,6 +233,7 @@ class PerformancePredictor:
         train = TensorDataset(*(a[train_idx] for a in arrays))
         val = TensorDataset(*(a[val_idx] for a in arrays))
 
+        self._signature_encodings.clear()
         trainer = Trainer(
             model=self.model,
             optimizer=Adam(self.model.parameters(), lr=lr),
@@ -245,26 +259,37 @@ class PerformancePredictor:
         signature: np.ndarray,
         mode: np.ndarray,
         future: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Predicted performance in natural units, shape (N,)."""
+    ) -> np.ndarray | float:
+        """Predicted performance in natural units, shape (N,).
+
+        Batched ``(N, T, M)`` inputs run the full forward per row.  One
+        ``(T, M)`` window, signature and Ŝ are encoded once (the
+        signature from a cache) and scored for each flag in ``mode``;
+        a single flag returns a float.
+        """
         if not self._trained:
             raise RuntimeError("predictor must be fit before predicting")
         state = np.asarray(state, dtype=np.float64)
-        single = state.ndim == 2
-        if single:
-            state = state[None, ...]
-            signature = np.asarray(signature)[None, ...]
-            mode = np.asarray(mode, dtype=np.float64).reshape(1, 1)
-            if future is not None:
-                future = np.asarray(future)[None, ...]
-        else:
-            mode = np.asarray(mode, dtype=np.float64).reshape(-1, 1)
+        mode = np.asarray(mode, dtype=np.float64).reshape(-1, 1)
         s, k, f = self._scale_inputs(state, np.asarray(signature), future)
         if self.model.training:  # avoid the sub-tree walk on the hot path
             self.model.eval()
-        pred = self.model.forward(s, k, mode, f)
+        if state.ndim == 3:
+            pred = self.model.forward(s, k, mode, f)
+        else:
+            enc_s = self.model.state_encoder.forward(s[None])
+            pred = self.model.score(enc_s, self._encode_signature(k), mode, f)
         out = np.exp(self.target_scaler.inverse_transform(pred)).ravel()
-        return float(out[0]) if single else out
+        return float(out[0]) if state.ndim == 2 and out.size == 1 else out
+
+    def _encode_signature(self, k: np.ndarray) -> np.ndarray:
+        """The (1, H) encoding of one scaled signature, cached."""
+        key = k.tobytes()
+        encoding = self._signature_encodings.get(key)
+        if encoding is None:
+            encoding = self.model.signature_encoder.forward(k[None])
+            self._signature_encodings[key] = encoding
+        return encoding
 
     def evaluate(
         self,
@@ -312,5 +337,6 @@ class PerformancePredictor:
         self.target_scaler.mean_ = state.pop("__target_mean")
         self.target_scaler.scale_ = state.pop("__target_scale")
         self.model.load_state_dict(state)
+        self._signature_encodings.clear()
         self._trained = True
         return self

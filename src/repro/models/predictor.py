@@ -14,8 +14,9 @@ LC) behind the API the Orchestrator consumes:
 The inference path is the cluster's decision critical path, so it is
 built for throughput:
 
-* :meth:`Predictor.predict_both_modes` evaluates local and remote as a
-  single N=2 batch through one performance-model forward;
+* :meth:`Predictor.predict_both_modes` encodes the window once and
+  scores local and remote with the performance model's head, reusing
+  the cached encoding of the application's signature;
 * the sub-sampled window and Ŝ are memoized per distinct history
   window (content-keyed), so a tick with many candidate arrivals runs
   the system-state model once; :meth:`Predictor.attach` registers a
@@ -176,18 +177,36 @@ class Predictor:
     ) -> float:
         """Predicted performance of deploying ``profile`` in ``mode`` now.
 
-        Raises :class:`KeyError` when no signature exists — the caller
-        (the Orchestrator) must then fall back to the capture-first
-        policy of §V-C.  ``deadline_s`` is the caller's decision
-        deadline: an installed chaos hook raises
+        The ``mode`` entry of :meth:`predict_both_modes`.  Raises
+        :class:`KeyError` when no signature exists — the caller (the
+        Orchestrator) must then fall back to the capture-first policy of
+        §V-C.  ``deadline_s`` is the caller's decision deadline: an
+        installed chaos hook raises
         :class:`~repro.faults.errors.InferenceTimeout` when injected
         inference latency exceeds it.
+        """
+        return self.predict_both_modes(profile, history_raw, deadline_s)[mode]
+
+    def predict_both_modes(
+        self,
+        profile: WorkloadProfile,
+        history_raw: np.ndarray,
+        deadline_s: float | None = None,
+    ) -> dict[MemoryMode, float]:
+        """Performance estimates for local and remote deployment.
+
+        One :meth:`PerformancePredictor.predict` call encodes the window
+        once and scores both mode flags; estimates agree with the batched
+        ``(2, T, M)`` forward to rtol 1e-12, not bit for bit (BLAS blocks
+        N=1 and N=2 GEMMs differently).  ``deadline_s`` behaves as in
+        :meth:`predict_performance`.
         """
         model = self._model_for(profile.kind)
         if self.chaos is not None:
             self.chaos.before_inference(profile.kind.value, deadline_s)
         history_raw = np.asarray(history_raw, dtype=np.float64)
         signature = self.signatures.get(profile.name)
+        modes = (MemoryMode.LOCAL, MemoryMode.REMOTE)
         # Ŝ is produced (and observed) before the performance-model
         # lap starts, so the forward's time excludes the nested
         # system-state forward.
@@ -199,58 +218,8 @@ class Predictor:
             window, future = self._window(history_raw), None
         acct = perf_accounting()
         t0 = acct.clock() if acct is not None else 0.0
-        estimate = model.predict(
-            state=window,
-            signature=signature,
-            mode=np.array([encode_mode(mode)]),
-            future=future,
-        )
-        self._observe_inference(
-            profile.kind.value,
-            acct.lap("predictor.forward", t0) - t0 if acct is not None else None,
-        )
-        if self.chaos is not None:
-            estimate = float(
-                self.chaos.corrupt_output(
-                    profile.kind.value, np.asarray(estimate, dtype=np.float64)
-                )
-            )
-        return estimate
-
-    def predict_both_modes(
-        self,
-        profile: WorkloadProfile,
-        history_raw: np.ndarray,
-        deadline_s: float | None = None,
-    ) -> dict[MemoryMode, float]:
-        """Performance estimates for local and remote deployment.
-
-        Both candidate modes are encoded as an N=2 batch and run through
-        a single performance-model forward; outputs are numerically
-        identical to two sequential :meth:`predict_performance` calls.
-        ``deadline_s`` behaves as in :meth:`predict_performance`.
-        """
-        model = self._model_for(profile.kind)
-        if self.chaos is not None:
-            self.chaos.before_inference(profile.kind.value, deadline_s)
-        history_raw = np.asarray(history_raw, dtype=np.float64)
-        signature = self.signatures.get(profile.name)
-        modes = (MemoryMode.LOCAL, MemoryMode.REMOTE)
-        if model.use_future:
-            window, s_hat = self._system_state(
-                history_raw, label="system_state_nested"
-            )
-            future = np.stack([s_hat, s_hat])
-        else:
-            window, future = self._window(history_raw), None
-        acct = perf_accounting()
-        t0 = acct.clock() if acct is not None else 0.0
-        estimates = model.predict(
-            state=np.stack([window, window]),
-            signature=np.stack([signature, signature]),
-            mode=np.array([[encode_mode(m)] for m in modes]),
-            future=future,
-        )
+        flags = [encode_mode(m) for m in modes]
+        estimates = model.predict(window, signature, flags, future)
         self._observe_inference(
             profile.kind.value,
             acct.lap("predictor.forward", t0) - t0 if acct is not None else None,

@@ -10,17 +10,14 @@ __all__ = ["ReLU", "LeakyReLU", "Tanh", "Sigmoid", "Identity", "sigmoid", "tanh"
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically-stable logistic function.
+    """Numerically-stable logistic function, branch-free.
 
-    Splitting on the sign avoids overflow in ``exp`` for large-magnitude
-    pre-activations, which LSTM gates produce early in training.
+    ``exp(-|x|)`` cannot overflow on the large pre-activations LSTM gates
+    produce early in training, and for each sign of ``x`` the result is
+    the sign-split form, ``1 / (1 + exp(-x))`` or ``exp(x) / (1 + exp(x))``.
     """
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

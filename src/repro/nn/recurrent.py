@@ -109,10 +109,9 @@ class LSTM(Module):
             h_prevs[step] = h_prev
             c_prevs[step] = c_prev
             z = x[:, step, :] @ w_x_t + h_prev @ w_h_t + self.bias.value
-            i_g = sigmoid(z[:, s_i])
-            f_g = sigmoid(z[:, s_f])
+            act = sigmoid(z)  # all four gates in one call; g's share goes unused
+            i_g, f_g, o_g = act[:, s_i], act[:, s_f], act[:, s_o]
             g_g = np.tanh(z[:, s_g])
-            o_g = sigmoid(z[:, s_o])
             c_prev = f_g * c_prev + i_g * g_g
             ct = np.tanh(c_prev)
             h_prev = o_g * ct
@@ -143,8 +142,9 @@ class LSTM(Module):
         ``x @ W_x.T`` for *all* timesteps runs as one GEMM outside the
         recurrence, and none of the ten per-timestep BPTT tensors is
         allocated — the loop carries only the (N, H) hidden/cell state.
-        The per-step summation order matches the training path exactly
-        (``xW + hW + b``), keeping outputs numerically identical.
+        The per-step summation order matches the training path
+        (``xW + hW + b``), but the one GEMM blocks its dot products
+        differently: outputs agree to rounding, not bit for bit.
         """
         n, t, _ = x.shape
         h_dim = self.hidden_size
@@ -159,10 +159,9 @@ class LSTM(Module):
         hiddens = np.empty((n, t, h_dim)) if self.return_sequences else None
         for step in range(t):
             z = z_x[:, step, :] + h_prev @ w_h_t + bias
-            i_g = sigmoid(z[:, s_i])
-            f_g = sigmoid(z[:, s_f])
+            act = sigmoid(z)
+            i_g, f_g, o_g = act[:, s_i], act[:, s_f], act[:, s_o]
             g_g = np.tanh(z[:, s_g])
-            o_g = sigmoid(z[:, s_o])
             c_prev = f_g * c_prev + i_g * g_g
             h_prev = o_g * np.tanh(c_prev)
             if hiddens is not None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Trace
 from repro.cluster.deployment import DeploymentRecord
@@ -78,6 +80,76 @@ class TestWindows:
     def test_horizon_outside_trace_raises(self):
         with pytest.raises(ValueError):
             make_trace(3).horizon_mean(start_time=10.0, length_s=5.0)
+
+
+def window_from_full_matrix(trace, end_time, length_s):
+    """Reference ``window``: slice the stacked whole-trace matrix."""
+    steps = int(round(length_s / trace.dt))
+    end_idx = int(round(end_time / trace.dt))
+    start_idx = end_idx - steps
+    data = trace.metrics
+    end_idx = min(end_idx, len(trace.times))
+    rows = data[max(0, start_idx) : end_idx]
+    if start_idx < 0 or rows.shape[0] < steps:
+        pad = np.zeros((steps - rows.shape[0], data.shape[1]))
+        rows = np.vstack([pad, rows]) if rows.size else pad
+    return rows
+
+
+def horizon_mean_from_full_matrix(trace, start_time, length_s):
+    """Reference ``horizon_mean``: slice the stacked whole-trace matrix."""
+    start_idx = int(round(start_time / trace.dt))
+    steps = int(round(length_s / trace.dt))
+    rows = trace.metrics[start_idx : start_idx + steps]
+    if rows.shape[0] == 0:
+        raise ValueError("horizon window lies outside the trace")
+    return rows.mean(axis=0)
+
+
+def assert_same_outcome(read, reference):
+    """Both reads return bit-identical arrays, or both raise ValueError."""
+    try:
+        want = reference()
+    except ValueError:
+        with pytest.raises(ValueError):
+            read()
+        return
+    got = read()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestReadsTouchOnlyTheirRows:
+    """``window`` and ``horizon_mean`` stack only the rows they return,
+    and must equal a slice of the whole-trace matrix bit for bit."""
+
+    @given(
+        n_rows=st.integers(0, 300),
+        dt=st.sampled_from([0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_matrix_slice(self, n_rows, dt, seed, data):
+        rng = np.random.default_rng(seed)
+        trace = Trace(dt=dt)
+        for i in range(n_rows):
+            values = rng.normal(size=len(METRIC_NAMES))
+            values[rng.random(len(METRIC_NAMES)) < 0.05] = np.nan
+            trace.append((i + 1) * dt, PerfCounters.from_array(values), 0)
+        span = (n_rows + 1) * dt
+        # End times before the first row, inside and past the trace.
+        end_time = data.draw(st.floats(-0.5 * span - 5.0, 1.5 * span + 5.0))
+        length_s = data.draw(st.floats(0.1, 1.2 * span + 5.0))
+        start_time = end_time - length_s
+        assert_same_outcome(
+            lambda: trace.window(end_time, length_s),
+            lambda: window_from_full_matrix(trace, end_time, length_s),
+        )
+        assert_same_outcome(
+            lambda: trace.horizon_mean(start_time, length_s),
+            lambda: horizon_mean_from_full_matrix(trace, start_time, length_s),
+        )
 
 
 class TestRecordQueries:

@@ -27,6 +27,37 @@ def assert_traces_identical(a, b) -> None:
             assert same, f"record {ra.app_id} field {key}: {va!r} != {vb!r}"
 
 
+def sigmoid_sign_split(x: np.ndarray) -> np.ndarray:
+    """Reference logistic: one masked evaluation per sign of ``x``."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def batched_reference(service, profile, history: np.ndarray) -> dict:
+    """Both modes' estimates for a BE ``profile`` from the batched
+    (2, T, M) forward: both encoders run on the stacked window and
+    signature, and no encoding is cached."""
+    from repro.models.features import encode_mode, impute_gaps, subsample
+    from repro.workloads import MemoryMode
+
+    config = service.config
+    window = subsample(impute_gaps(history)[0], config.sample_period_s, config.dt)
+    s_hat = service.predict_system_state(history)
+    signature = service.signatures.get(profile.name)
+    modes = (MemoryMode.LOCAL, MemoryMode.REMOTE)
+    estimates = service.be_performance.predict(
+        np.stack([window, window]),
+        np.stack([signature, signature]),
+        np.array([[encode_mode(m)] for m in modes]),
+        np.stack([s_hat, s_hat]),
+    )
+    return dict(zip(modes, estimates))
+
+
 def numeric_grad(f, array: np.ndarray, index: tuple, eps: float = 1e-6) -> float:
     """Central-difference derivative of scalar ``f()`` w.r.t. one element."""
     old = array[index]

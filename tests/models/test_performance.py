@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,68 @@ class TestPredictor:
                 be_dataset.state, be_dataset.signature, be_dataset.mode,
                 be_dataset.future_120, bad, epochs=1,
             )
+
+
+class TestSignatureEncodingCache:
+    """Single-window predictions reuse each signature's encoding; the
+    cache must not outlive the weights that produced it."""
+
+    FLAGS = np.array([0.0, 1.0])
+
+    def fitted(self, data, seed=0):
+        predictor = PerformancePredictor(lstm_hidden=8, block_hidden=16, seed=seed)
+        return self.refit(predictor, data)
+
+    def refit(self, predictor, data):
+        predictor.fit(
+            data.state, data.signature, data.mode, data.future_120,
+            data.targets, epochs=2,
+        )
+        return predictor
+
+    def estimate(self, predictor, data, row=0):
+        return predictor.predict(
+            data.state[row], data.signature[row], self.FLAGS,
+            data.future_120[row],
+        )
+
+    def test_encoder_runs_once_per_distinct_signature(
+        self, be_dataset, monkeypatch
+    ):
+        predictor = self.fitted(be_dataset)
+        encoder = predictor.model.signature_encoder
+        real, calls = encoder.forward, []
+        monkeypatch.setattr(
+            encoder, "forward", lambda k: calls.append(len(k)) or real(k)
+        )
+        names = list(dict.fromkeys(be_dataset.names))[:2]
+        for name in names:
+            signature = be_dataset.signature[be_dataset.names.index(name)]
+            for row in range(3):
+                predictor.predict(
+                    be_dataset.state[row], signature, self.FLAGS,
+                    be_dataset.future_120[row],
+                )
+        assert calls == [1] * len(names)
+
+    def test_refit_clears_cache(self, be_dataset):
+        # Other targets on the same inputs: the metric scaler, and so
+        # every cache key, stays the same while the weights change.
+        other = dataclasses.replace(be_dataset, targets=be_dataset.targets[::-1])
+        warm = self.fitted(be_dataset)
+        self.estimate(warm, be_dataset)  # encodes with the first fit's weights
+        self.refit(warm, other)
+        cold = self.refit(self.fitted(be_dataset), other)
+        assert np.array_equal(
+            self.estimate(warm, be_dataset), self.estimate(cold, be_dataset)
+        )
+
+    def test_load_clears_cache(self, be_dataset, tmp_path):
+        other = self.fitted(be_dataset, seed=1)
+        other.save(tmp_path / "other.npz")
+        warm = self.fitted(be_dataset, seed=0)
+        self.estimate(warm, be_dataset)
+        warm.load(tmp_path / "other.npz")
+        assert np.array_equal(
+            self.estimate(warm, be_dataset), self.estimate(other, be_dataset)
+        )

@@ -14,6 +14,7 @@ from repro.workloads import (
     ibench_profile,
     spark_profile,
 )
+from tests.helpers import batched_reference
 
 
 @pytest.fixture(scope="module")
@@ -119,16 +120,17 @@ class TestFastPath:
         return calls
 
     def test_batched_matches_sequential(self, service, history):
+        """Both entry points match the batched (2, T, M) reference."""
         profile = spark_profile("gmm")
-        sequential = {}
-        for mode in (MemoryMode.LOCAL, MemoryMode.REMOTE):
-            service.invalidate_memo()  # each call recomputes Ŝ from scratch
-            sequential[mode] = service.predict_performance(profile, history, mode)
+        reference = batched_reference(service, profile, history)
         service.invalidate_memo()
         batched = service.predict_both_modes(profile, history)
-        assert set(batched) == set(sequential)
-        for mode, value in sequential.items():
+        assert set(batched) == set(reference)
+        for mode, value in reference.items():
             assert batched[mode] == pytest.approx(value, abs=1e-12)
+            service.invalidate_memo()  # each call recomputes Ŝ from scratch
+            sequential = service.predict_performance(profile, history, mode)
+            assert sequential == batched[mode]
 
     def test_memoized_s_hat_identical_to_fresh(self, service, history):
         service.invalidate_memo()
@@ -207,3 +209,29 @@ class TestFastPath:
             assert memo_hits.labels(entry="window").value == 2.0
         finally:
             obs.disable()
+
+
+class TestSignatureCache:
+    def test_new_rows_under_a_known_name(
+        self, service, history, tiny_traces, feature_config, tmp_path
+    ):
+        """Re-capturing an application replaces its cached encoding."""
+        profile = spark_profile("gmm").with_overrides(name="recaptured-app")
+        steps = int(feature_config.signature_s / feature_config.dt)
+        try:
+            service.store_signature(profile.name, tiny_traces[0].metrics[:steps])
+            service.predict_both_modes(profile, history)  # caches the first rows
+            service.store_signature(profile.name, tiny_traces[1].metrics[:steps])
+            estimates = service.predict_both_modes(profile, history)
+            service.be_performance.save(tmp_path / "be.npz")
+            fresh = Predictor(
+                system_state=service.system_state,
+                be_performance=PerformancePredictor(
+                    feature_config=feature_config
+                ).load(tmp_path / "be.npz"),
+                signatures=service.signatures,
+                feature_config=feature_config,
+            )
+            assert estimates == fresh.predict_both_modes(profile, history)
+        finally:
+            service.signatures.drop(profile.name)

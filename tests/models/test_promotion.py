@@ -20,7 +20,8 @@ from repro.models import (
 )
 from repro.models.promotion import _holdout_split
 from repro.nn import RecoveryPolicy
-from repro.workloads import WorkloadKind
+from repro.workloads import WorkloadKind, spark_profile
+from tests.helpers import batched_reference
 
 BE = WorkloadKind.BEST_EFFORT
 LC = WorkloadKind.LATENCY_CRITICAL
@@ -109,6 +110,38 @@ class TestGatedRetrain:
         (decision,) = decisions
         assert decision.promoted and decision.reason == "promoted"
         assert updated.be_performance is not trained_predictor.be_performance
+
+    def test_promoted_candidate_uses_its_own_encodings(
+        self, trained_predictor, tiny_traces, signatures, feature_config
+    ):
+        # An incumbent fit on the candidate's own training split shares
+        # its metric scaler, so a scaled signature has the same bytes
+        # under both models: only per-model caches keep them apart.
+        data = build_performance_dataset(tiny_traces, signatures, BE, feature_config)
+        train = data.subset(_holdout_split(len(data), GateConfig())[0])
+        system_state = trained_predictor.system_state
+        incumbent = PerformancePredictor(feature_config=feature_config, seed=1)
+        incumbent.fit(
+            train.state, train.signature, train.mode,
+            system_state.predict(train.state), train.targets, epochs=2,
+        )
+        predictor = Predictor(
+            system_state=system_state, be_performance=incumbent,
+            signatures=signatures, feature_config=feature_config,
+        )
+        profile = spark_profile("gmm")
+        history = tiny_traces[-1].window(600.0, feature_config.history_s)
+        updated, (decision,) = gated_retrain(
+            predictor, tiny_traces, kinds=(BE,), epochs=1,
+            gate=GateConfig(tolerance=1e9),
+        )
+        assert decision.promoted
+        # The incumbent serves until the swap, caching its own encoding.
+        before = predictor.predict_both_modes(profile, history)
+        estimates = updated.predict_both_modes(profile, history)
+        assert estimates != before
+        for mode, value in batched_reference(updated, profile, history).items():
+            assert estimates[mode] == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_timeout_abandons_candidate(self, trained_predictor, tiny_traces):
         updated, decisions = gated_retrain(

@@ -3,7 +3,45 @@ import pytest
 
 from repro.nn import LSTM, StackedLSTM
 from repro.nn.activations import sigmoid
-from tests.helpers import check_input_grad, check_param_grads
+from tests.helpers import check_input_grad, check_param_grads, sigmoid_sign_split
+
+
+def reference_forward(lstm, x, one_gemm):
+    """The step loop with one masked sigmoid call per gate slice.
+
+    ``one_gemm`` projects every timestep's input in one GEMM, as the
+    inference forward does; otherwise each step projects its own, as
+    the training forward does.  Returns the output and the BPTT cache.
+    """
+    n, t, _ = x.shape
+    h = lstm.hidden_size
+    s_i, s_f, s_g, s_o = lstm._slices()
+    w_x_t, w_h_t, bias = lstm.w_x.value.T, lstm.w_h.value.T, lstm.bias.value
+    z_x = (x.reshape(n * t, lstm.input_size) @ w_x_t).reshape(n, t, 4 * h)
+    cache = {
+        name: np.empty((t, n, h))
+        for name in ("i", "f", "g", "o", "c", "ct", "h", "h_prev", "c_prev")
+    }
+    h_prev, c_prev = np.zeros((n, h)), np.zeros((n, h))
+    for step in range(t):
+        cache["h_prev"][step], cache["c_prev"][step] = h_prev, c_prev
+        z_in = z_x[:, step, :] if one_gemm else x[:, step, :] @ w_x_t
+        z = z_in + h_prev @ w_h_t + bias
+        i_g = sigmoid_sign_split(z[:, s_i])
+        f_g = sigmoid_sign_split(z[:, s_f])
+        g_g = np.tanh(z[:, s_g])
+        o_g = sigmoid_sign_split(z[:, s_o])
+        c_prev = f_g * c_prev + i_g * g_g
+        ct = np.tanh(c_prev)
+        h_prev = o_g * ct
+        for name, value in zip(
+            ("i", "f", "g", "o", "c", "ct", "h"),
+            (i_g, f_g, g_g, o_g, c_prev, ct, h_prev),
+        ):
+            cache[name][step] = value
+    hiddens = cache["h"]
+    out = hiddens.transpose(1, 0, 2) if lstm.return_sequences else hiddens[-1]
+    return out, cache
 
 
 class TestLSTMForward:
@@ -56,6 +94,37 @@ class TestLSTMForward:
             lstm.forward(np.zeros((2, 5, 7)))
         with pytest.raises(ValueError):
             LSTM(0, 4)
+
+
+class TestOneGateActivationPerStep:
+    """Both forwards activate all four gates with one sigmoid call per
+    step; each must match the per-gate masked-call loop bit for bit."""
+
+    # (N, T, D, H, return_sequences); the inputs are scaled up so that
+    # some gates saturate.
+    CASES = [(1, 12, 7, 32, False), (2, 24, 7, 32, True), (3, 5, 4, 6, False)]
+
+    @pytest.mark.parametrize("n,t,d,h,return_sequences", CASES)
+    def test_training_forward_and_bptt_cache(self, n, t, d, h, return_sequences):
+        rng = np.random.default_rng(n * 100 + t)
+        lstm = LSTM(d, h, return_sequences=return_sequences, rng=rng)
+        x = 4.0 * rng.normal(size=(n, t, d))
+        out = lstm.forward(x)
+        expected, cache = reference_forward(lstm, x, one_gemm=False)
+        assert np.array_equal(out, expected)
+        # Identical caches mean backward yields identical gradients.
+        assert lstm._cache["x"] is x
+        for name, value in cache.items():
+            assert np.array_equal(lstm._cache[name], value), name
+
+    @pytest.mark.parametrize("n,t,d,h,return_sequences", CASES)
+    def test_inference_forward(self, n, t, d, h, return_sequences):
+        rng = np.random.default_rng(n * 100 + t)
+        lstm = LSTM(d, h, return_sequences=return_sequences, rng=rng)
+        x = 4.0 * rng.normal(size=(n, t, d))
+        lstm.eval()
+        expected, _ = reference_forward(lstm, x, one_gemm=True)
+        assert np.array_equal(lstm.forward(x), expected)
 
 
 class TestLSTMBackward:
