@@ -8,7 +8,7 @@ metric time series and per-deployment outcomes consumed by the Fig. 6
 correlation analysis, the Predictor datasets and the §VI-B evaluation.
 """
 
-from repro.cluster.deployment import Deployment, DeploymentRecord, DeploymentState
+from repro.cluster.deployment import Deployment, DeploymentRecord
 from repro.cluster.engine import CapacityError, ClusterEngine, NodeDownError
 from repro.cluster.failover import (
     FailoverConfig,
@@ -46,7 +46,6 @@ __all__ = [
     "NodeHealth",
     "PoolAwarePlacement",
     "DeploymentRecord",
-    "DeploymentState",
     "ScenarioConfig",
     "run_fleet_scenario",
     "Trace",

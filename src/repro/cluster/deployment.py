@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,12 +11,7 @@ from repro.workloads.base import MemoryMode, WorkloadKind, WorkloadProfile
 from repro.workloads.loadgen import TailLatencyModel
 from repro.workloads.redis import LCProfile
 
-__all__ = ["DeploymentState", "Deployment", "DeploymentRecord"]
-
-
-class DeploymentState(enum.Enum):
-    RUNNING = "running"
-    FINISHED = "finished"
+__all__ = ["Deployment", "DeploymentRecord"]
 
 
 @dataclass
@@ -43,7 +37,6 @@ class Deployment:
     #: Time of the placement decision when it precedes the deployment —
     #: outage-parked workloads retry later, but audit joins key on this.
     decided_s: float | None = None
-    state: DeploymentState = DeploymentState.RUNNING
     finish_time: float | None = None
     progress_s: float = 0.0
     served_ops: float = 0.0
@@ -70,7 +63,7 @@ class Deployment:
     # -- queries --------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self.state is DeploymentState.RUNNING
+        return self.finish_time is None
 
     @property
     def is_latency_critical(self) -> bool:
@@ -127,14 +120,23 @@ class Deployment:
         if self.progress_s >= self.profile.nominal_runtime_s:
             self._finish(now)
 
+    def complete_early(self) -> None:
+        """Pull the workload class's natural finish lever, so the next
+        :meth:`advance` finishes the deployment."""
+        if self.is_interference:
+            self.duration_s = 1e-9
+        elif self._request_budget is not None:
+            self.served_ops = self._request_budget
+        else:
+            self.progress_s = self.profile.nominal_runtime_s
+
     def _finish(self, now: float) -> None:
-        self.state = DeploymentState.FINISHED
         self.finish_time = now
 
     # -- results ----------------------------------------------------------
     def record(self) -> "DeploymentRecord":
         """Summarize a finished deployment for trace storage."""
-        if self.running or self.finish_time is None:
+        if self.running:
             raise RuntimeError("cannot record an unfinished deployment")
         runtime = self.finish_time - self.arrival_time
         if self.is_latency_critical and self.p99_samples:

@@ -87,6 +87,8 @@ class ClusterEngine:
         self.testbed = testbed if testbed is not None else Testbed()
         self.dt = dt
         self.now = 0.0
+        #: In-flight deployments, in placement order.  A deployment leaves
+        #: in the tick it finishes, once its record is in the trace.
         self.deployments: list[Deployment] = []
         self.trace = Trace(dt=dt)
         self._next_app_id = 0
@@ -156,15 +158,12 @@ class ClusterEngine:
     # -- deployment -------------------------------------------------------
     @property
     def running(self) -> list[Deployment]:
-        return [d for d in self.deployments if d.running]
+        """The in-flight deployments (the engine's own list, not a copy)."""
+        return self.deployments
 
     def used_capacity_gb(self, mode: MemoryMode) -> float:
         """Memory currently committed in the given pool."""
-        if mode is MemoryMode.LOCAL:
-            return sum(d.profile.footprint_gb for d in self.running
-                       if d.mode is MemoryMode.LOCAL)
-        return sum(d.profile.footprint_gb for d in self.running
-                   if d.mode is MemoryMode.REMOTE)
+        return sum(d.profile.footprint_gb for d in self.running if d.mode is mode)
 
     def fits(self, profile: WorkloadProfile, mode: MemoryMode) -> bool:
         if self.dead:
@@ -360,12 +359,15 @@ class ClusterEngine:
             t0 = acct.lap("engine.arbitration", t0)
         self.now += self.dt
         finished = 0
-        for deployment in self.running:
+        running = self.running
+        # Walk a snapshot: an on_finish hook may place new work here.
+        for deployment in tuple(running):
             deployment.advance(self.now, self.dt, pressure)
             if not deployment.running:
                 finished += 1
                 record = deployment.record()
                 self.trace.add_record(record)
+                running.remove(deployment)
                 if self.journey is not None:
                     decided = record.decided_s
                     self.journey.hop(

@@ -218,13 +218,10 @@ class FleetHealthManager:
 
     # -- failover ------------------------------------------------------------
     def _drain(self, fleet, engine, node: str, now: float) -> int:
-        """Move a dead node's in-flight work into the failover queue."""
-        drained = 0
-        survivors = []
+        """Move a dead node's in-flight work and parked retries into the
+        failover queue, emptying both; returns how many moved."""
+        drained = len(engine.deployments) + len(engine._retry_queue)
         for deployment in engine.deployments:
-            if not deployment.running:
-                survivors.append(deployment)
-                continue
             decided = deployment.decided_s
             decided = decided if decided is not None else deployment.arrival_time
             self._enqueue(
@@ -237,8 +234,6 @@ class FleetHealthManager:
                 now=now,
                 journey=engine.journey,
             )
-            drained += 1
-        engine.deployments = survivors
         for entry in engine._retry_queue:
             self._enqueue(
                 profile=entry.profile,
@@ -250,7 +245,7 @@ class FleetHealthManager:
                 now=now,
                 journey=engine.journey,
             )
-            drained += 1
+        engine.deployments.clear()
         engine._retry_queue = []
         return drained
 

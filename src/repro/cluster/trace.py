@@ -118,6 +118,7 @@ class Trace:
                     r.p999_ms,
                     r.mean_slowdown,
                     r.link_traffic_gb,
+                    r.decided_s,
                 )
                 for r in self.records
             ],
@@ -155,6 +156,7 @@ class Trace:
                         p999_ms=float(row[8]),
                         mean_slowdown=float(row[9]),
                         link_traffic_gb=float(row[10]),
+                        decided_s=None if row[11] is None else float(row[11]),
                     )
                 )
         return trace

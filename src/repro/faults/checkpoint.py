@@ -1,8 +1,9 @@
 """The checkpoint codec shared by scenario replays, fleets and the daemon.
 
 A checkpoint captures everything a resumed process needs to reproduce
-the rest of a run *bit-identically*: engine state (clock, deployments,
-trace, outage retry queue, counter-noise and retry-jitter RNGs), fault
+the rest of a run *bit-identically*: engine state (clock, in-flight
+deployments, trace — which holds every finished deployment's record —
+outage retry queue, counter-noise and retry-jitter RNGs), fault
 injectors (plan + RNG + open windows), fleet health, and the policy
 (circuit breaker, RNG, captured signatures).  Arrivals are NOT stored —
 they are regenerated from the scenario config's seed, and only the index
@@ -61,7 +62,7 @@ __all__ = [
     "resume_scenario",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Top-level parts of each checkpoint kind, in file order (after
 #: ``version``).
@@ -88,7 +89,7 @@ def write_checkpoint(path, kind: str, **parts) -> Path:
 
 
 def read_checkpoint(path, kind: str) -> dict:
-    """Read a ``kind`` checkpoint: it exists, parses, is v2, has every part."""
+    """Read a ``kind`` checkpoint: it exists, parses, is v3, has every part."""
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"no {kind} checkpoint at {path}")
@@ -198,7 +199,7 @@ def engine_state(engine) -> dict:
         "dropped_retries": engine.dropped_retries,
         "dead": engine.dead,
         "deployments": [
-            _fields_to_dict(d, profile=_name, mode=_value, state=_value)
+            _fields_to_dict(d, profile=_name, mode=_value)
             for d in engine.deployments
         ],
         "trace": {
@@ -220,11 +221,7 @@ def load_engine_state(engine, data, profiles: dict) -> None:
     tick; everything wired onto it (fits hook, node label, journey,
     finish and tick hooks, live stream) is kept as built.
     """
-    from repro.cluster.deployment import (
-        Deployment,
-        DeploymentRecord,
-        DeploymentState,
-    )
+    from repro.cluster.deployment import Deployment, DeploymentRecord
     from repro.cluster.engine import RetryEntry
 
     require_fields(data, "engine", _ENGINE_FIELDS)
@@ -247,11 +244,16 @@ def load_engine_state(engine, data, profiles: dict) -> None:
     engine.dead = data["dead"]
     engine.deployments = [
         dataclass_from_dict(
-            Deployment, d, "deployment",
-            profile=profile, mode=MemoryMode, state=DeploymentState,
+            Deployment, d, "deployment", profile=profile, mode=MemoryMode
         )
         for d in data["deployments"]
     ]
+    finished = [d.app_id for d in engine.deployments if not d.running]
+    if finished:
+        raise CheckpointError(
+            f"engine checkpoint lists finished deployments {finished}; "
+            "only in-flight work belongs there"
+        )
     trace = require_fields(data["trace"], "trace", _TRACE_FIELDS)
     engine.trace.times = list(trace["times"])
     engine.trace._counter_rows = [

@@ -511,12 +511,7 @@ class OrchestratorDaemon:
         # let the next tick retire it through the normal accounting path
         # (trace, on_finish, journey) — finishing it in place here would
         # bypass all three.
-        if deployment.is_interference:
-            deployment.duration_s = 1e-9
-        elif deployment._request_budget is not None:
-            deployment.served_ops = deployment._request_budget
-        else:
-            deployment.progress_s = deployment.profile.nominal_runtime_s
+        deployment.complete_early()
         self.counters["completed_early"] += 1
         return {"ok": True, "id": req_id, "status": "completing"}
 
@@ -524,10 +519,8 @@ class OrchestratorDaemon:
         for engine in self.fleet.engines:
             if engine.node_label != entry.get("node"):
                 continue
-            for deployment in engine.deployments:
-                if deployment.app_id == entry.get("app_id") and (
-                    deployment.running
-                ):
+            for deployment in engine.running:
+                if deployment.app_id == entry.get("app_id"):
                     return deployment
         return None
 

@@ -68,10 +68,9 @@ class TestOutageAdmission:
         engine.remote_blocked = False
         engine.run_for(70.0)  # beyond the backoff cap
         assert engine.queued_remote == 0
-        remote = [
-            d for d in engine.deployments if d.mode is MemoryMode.REMOTE
-        ]
-        assert len(remote) == 1
+        # Placed once: still in flight, or finished into the trace.
+        placed = [*engine.running, *engine.trace.records]
+        assert [d.mode for d in placed] == [MemoryMode.REMOTE]
 
     def test_queue_entry_dropped_after_retry_limit(self):
         engine = tiny_engine()
@@ -81,7 +80,9 @@ class TestOutageAdmission:
         # dropped after 8 failed attempts (~191 simulated seconds).
         engine.run_for(300.0)
         assert engine.queued_remote == 0
-        assert not engine.deployments
+        # Never placed: nothing in flight, nothing finished into the trace.
+        assert not [*engine.running, *engine.trace.records]
+        assert engine.dropped_retries == 1
 
     def test_requeued_deployment_joins_its_audit_row(self):
         # The decision is logged when the placement is chosen; the

@@ -52,6 +52,19 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             deployment.advance(engine.now, 1.0, engine.current_pressure())
 
+    @pytest.mark.parametrize(
+        "profile", [spark_profile("scan"), REDIS, ibench_profile("cpu")],
+        ids=["best-effort", "latency-critical", "interference"],
+    )
+    def test_complete_early_finishes_on_the_next_tick(self, engine, profile):
+        deployment = engine.deploy(profile, MemoryMode.LOCAL)
+        engine.tick()
+        deployment.complete_early()
+        assert deployment.running
+        engine.tick()
+        assert not deployment.running
+        assert engine.trace.records[-1].app_id == deployment.app_id
+
     def test_record_before_finish_raises(self, engine):
         deployment = engine.deploy(spark_profile("scan"), MemoryMode.LOCAL)
         with pytest.raises(RuntimeError):

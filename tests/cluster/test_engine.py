@@ -101,6 +101,25 @@ class TestHooks:
         assert len(seen) == 1
         assert seen[0].name == "scan"
 
+    def test_work_placed_by_on_finish_stays_in_flight(self, engine):
+        # The hook runs inside the tick's advance loop: the finished
+        # deployment has already left the in-flight list, and what the
+        # hook places joins it behind the survivors.
+        seen = []
+
+        def place_next(record):
+            seen.append([d.app_id for d in engine.running])
+            engine.deploy(spark_profile("lr"), MemoryMode.LOCAL)
+
+        engine.on_finish = place_next
+        short = engine.deploy(spark_profile("scan"), MemoryMode.LOCAL)
+        survivor = engine.deploy(spark_profile("gmm"), MemoryMode.LOCAL)
+        while short.running:
+            engine.tick()
+        assert seen == [[survivor.app_id]]
+        assert [d.app_id for d in engine.running] == [survivor.app_id, 2]
+        assert [d.profile.name for d in engine.running] == ["gmm", "lr"]
+
     def test_run_until_idle_timeout(self, engine):
         engine.deploy(ibench_profile("cpu"), MemoryMode.LOCAL, duration_s=1e9)
         with pytest.raises(RuntimeError):

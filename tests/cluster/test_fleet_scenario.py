@@ -208,7 +208,7 @@ class TestCheckpoint:
 
     def test_missing_fields_raise(self, tmp_path):
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"version": 2, "config": {}}))
+        path.write_text(json.dumps({"version": 3, "config": {}}))
         with pytest.raises(CheckpointError, match="missing fields"):
             load_fleet_checkpoint(path)
 
@@ -294,7 +294,19 @@ class TestSharedCodec:
         ckpt.write_text(json.dumps(data))
         with pytest.raises(
             CheckpointError,
-            match=r"unsupported fleet checkpoint version 1 \(expected 2\)",
+            match=r"unsupported fleet checkpoint version 1 \(expected 3\)",
+        ):
+            resume_fleet_scenario(ckpt, scheduler=pin_remote)
+
+    def test_version_2_is_refused(self, parked):
+        # Version 2 engine parts also listed finished deployments.
+        ckpt, _ = parked
+        data = json.loads(ckpt.read_text())
+        data["version"] = 2
+        ckpt.write_text(json.dumps(data))
+        with pytest.raises(
+            CheckpointError,
+            match=r"unsupported fleet checkpoint version 2 \(expected 3\)",
         ):
             resume_fleet_scenario(ckpt, scheduler=pin_remote)
 

@@ -104,7 +104,7 @@ class TestValidation:
 
     def test_missing_fields_raise(self, tmp_path):
         path = tmp_path / "partial.json"
-        path.write_text(json.dumps({"version": 2, "scenario": {}}))
+        path.write_text(json.dumps({"version": 3, "scenario": {}}))
         with pytest.raises(CheckpointError, match="missing fields"):
             load_checkpoint(path)
 
@@ -256,7 +256,16 @@ class TestSharedCodec:
         self.rewrite(parked, lambda d: d.update(version=1))
         with pytest.raises(
             CheckpointError,
-            match=r"unsupported scenario checkpoint version 1 \(expected 2\)",
+            match=r"unsupported scenario checkpoint version 1 \(expected 3\)",
+        ):
+            resume_scenario(parked, scheduler=RandomPolicy(seed=5))
+
+    def test_version_2_is_refused(self, parked):
+        # Version 2 engine parts also listed finished deployments.
+        self.rewrite(parked, lambda d: d.update(version=2))
+        with pytest.raises(
+            CheckpointError,
+            match=r"unsupported scenario checkpoint version 2 \(expected 3\)",
         ):
             resume_scenario(parked, scheduler=RandomPolicy(seed=5))
 

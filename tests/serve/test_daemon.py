@@ -31,11 +31,22 @@ def _unknown_failover_entry(data):
     })
 
 
+def _finished_deployment(data):
+    deployment = next(
+        d for engine in data["fleet"]["engines"] for d in engine["deployments"]
+    )
+    deployment["finish_time"] = data["fleet"]["now"]
+
+
 #: Stale or hand-edited daemon checkpoints: (mutation, expected message).
 STALE_DAEMON_CHECKPOINTS = {
     "version-1": (
         lambda d: d.update(version=1),
-        r"unsupported daemon checkpoint version 1 \(expected 2\)",
+        r"unsupported daemon checkpoint version 1 \(expected 3\)",
+    ),
+    "version-2": (
+        lambda d: d.update(version=2),
+        r"unsupported daemon checkpoint version 2 \(expected 3\)",
     ),
     "config": (lambda d: d["config"].pop("seed"), r"\['seed'\]"),
     "fleet": (lambda d: d["fleet"].pop("dt"), r"\['dt'\]"),
@@ -53,6 +64,9 @@ STALE_DAEMON_CHECKPOINTS = {
     ),
     "failover-workload": (
         _unknown_failover_entry, "unknown workload 'no-such-app'"
+    ),
+    "finished-deployment": (
+        _finished_deployment, r"lists finished deployments \[\d+\]"
     ),
 }
 
