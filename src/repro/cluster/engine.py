@@ -3,7 +3,9 @@
 Advances the testbed in fixed ticks (1 s by default, matching the
 Watcher's sampling period).  Each tick:
 
-1. aggregate the demand of all running deployments,
+1. read the demand aggregate of the in-flight deployments — kept
+   beside the list, extended by each placement and rebuilt from the
+   list whenever a deployment leaves it,
 2. resolve shared-resource contention on the testbed,
 3. advance every deployment under the resolved pressure,
 4. sample the perf counters into the trace.
@@ -23,7 +25,7 @@ from repro import obs
 from repro.cluster.deployment import Deployment
 from repro.cluster.trace import Trace
 from repro.hardware.counters import METRIC_NAMES, PerfCounters
-from repro.hardware.testbed import SystemPressure, Testbed
+from repro.hardware.testbed import ResourceDemand, SystemPressure, Testbed
 from repro.obs.perf.accounting import accounting as perf_accounting
 from repro.workloads.base import MemoryMode, WorkloadProfile
 
@@ -89,7 +91,14 @@ class ClusterEngine:
         self.now = 0.0
         #: In-flight deployments, in placement order.  A deployment leaves
         #: in the tick it finishes, once its record is in the trace.
+        #: Only :meth:`deploy`, :meth:`set_inflight` and :meth:`withdraw`
+        #: write it, so the aggregate below always matches it.
         self.deployments: list[Deployment] = []
+        #: Aggregate of the in-flight list: the left fold of its demands
+        #: in placement order (bit for bit what ``ResourceDemand.total``
+        #: of the list returns) and how many of them run remote.
+        self.inflight_demand = ResourceDemand()
+        self.inflight_remote = 0
         self.trace = Trace(dt=dt)
         self._next_app_id = 0
         #: Hook invoked with each finished deployment's record.
@@ -163,7 +172,23 @@ class ClusterEngine:
 
     def used_capacity_gb(self, mode: MemoryMode) -> float:
         """Memory currently committed in the given pool."""
-        return sum(d.profile.footprint_gb for d in self.running if d.mode is mode)
+        total = self.inflight_demand
+        return total.local_gb if mode is MemoryMode.LOCAL else total.remote_gb
+
+    def set_inflight(self, deployments: list[Deployment]) -> None:
+        """Replace the in-flight list and rebuild its aggregate from it.
+
+        Every write of the list but :meth:`deploy`'s append comes here:
+        a finish, a failover drain or eviction, a checkpoint load.
+        """
+        self.deployments = deployments
+        self.inflight_demand = ResourceDemand.total([d.demand() for d in deployments])
+        self.inflight_remote = sum(d.mode is MemoryMode.REMOTE for d in deployments)
+
+    def withdraw(self, deployment: Deployment) -> None:
+        """Take one deployment out of flight (it finished or was evicted)."""
+        self.deployments.remove(deployment)
+        self.set_inflight(self.deployments)
 
     def fits(self, profile: WorkloadProfile, mode: MemoryMode) -> bool:
         if self.dead:
@@ -213,6 +238,9 @@ class ClusterEngine:
         )
         self._next_app_id += 1
         self.deployments.append(deployment)
+        self.inflight_demand = self.inflight_demand + deployment.demand()
+        if mode is MemoryMode.REMOTE:
+            self.inflight_remote += 1
         if self.journey is not None:
             self.journey.hop(
                 profile.name,
@@ -313,9 +341,9 @@ class ClusterEngine:
     # -- simulation ---------------------------------------------------------
     def current_pressure(self) -> SystemPressure:
         """Pressure the testbed is under right now."""
-        demands = [d.demand() for d in self.running]
         return self.testbed.resolve(
-            demands, link_capacity_factor=self.pool_capacity_factor
+            [self.inflight_demand],
+            link_capacity_factor=self.pool_capacity_factor,
         )
 
     def pressure_with(
@@ -326,10 +354,9 @@ class ClusterEngine:
         Used by the Orchestrator and by the isolated-performance
         estimators of the characterization drivers.
         """
-        demands = [d.demand() for d in self.running]
-        demands.append(profile.demand(mode))
         return self.testbed.resolve(
-            demands, link_capacity_factor=self.pool_capacity_factor
+            [self.inflight_demand, profile.demand(mode)],
+            link_capacity_factor=self.pool_capacity_factor,
         )
 
     def tick(self) -> SystemPressure:
@@ -359,15 +386,14 @@ class ClusterEngine:
             t0 = acct.lap("engine.arbitration", t0)
         self.now += self.dt
         finished = 0
-        running = self.running
         # Walk a snapshot: an on_finish hook may place new work here.
-        for deployment in tuple(running):
+        for deployment in tuple(self.running):
             deployment.advance(self.now, self.dt, pressure)
             if not deployment.running:
                 finished += 1
                 record = deployment.record()
                 self.trace.add_record(record)
-                running.remove(deployment)
+                self.withdraw(deployment)
                 if self.journey is not None:
                     decided = record.decided_s
                     self.journey.hop(

@@ -245,7 +245,7 @@ class FleetHealthManager:
                 now=now,
                 journey=engine.journey,
             )
-        engine.deployments.clear()
+        engine.set_inflight([])
         engine._retry_queue = []
         return drained
 
@@ -378,10 +378,7 @@ class FleetHealthManager:
         """
         pool = fleet.pool
         while True:
-            used = [
-                engine.used_capacity_gb(MemoryMode.REMOTE)
-                for engine in fleet.engines
-            ]
+            used = fleet._remote_used_gb()
             over: int | None = None
             if pool.regime.value == "pooled":
                 if sum(used) <= pool.effective_capacity_gb + 1e-9:
@@ -404,7 +401,7 @@ class FleetHealthManager:
             victim = max(
                 victims, key=lambda d: (d.profile.footprint_gb, -d.app_id)
             )
-            engine.deployments.remove(victim)
+            engine.withdraw(victim)
             decided = victim.decided_s
             decided = decided if decided is not None else victim.arrival_time
             node = engine.node_label or f"n{over}"

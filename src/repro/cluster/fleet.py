@@ -210,8 +210,7 @@ class ClusterFleet:
         if self.pool is None:
             return
         offered = [
-            sum(d.demand().remote_bw_gbps for d in engine.running)
-            for engine in self.engines
+            engine.inflight_demand.remote_bw_gbps for engine in self.engines
         ]
         factors = self.pool.arbitrate(offered)
         throttled_nodes: list[str] = []

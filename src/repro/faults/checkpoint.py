@@ -242,18 +242,19 @@ def load_engine_state(engine, data, profiles: dict) -> None:
     engine._retry_rng.bit_generator.state = data["retry_rng"]
     engine.dropped_retries = data["dropped_retries"]
     engine.dead = data["dead"]
-    engine.deployments = [
+    deployments = [
         dataclass_from_dict(
             Deployment, d, "deployment", profile=profile, mode=MemoryMode
         )
         for d in data["deployments"]
     ]
-    finished = [d.app_id for d in engine.deployments if not d.running]
+    finished = [d.app_id for d in deployments if not d.running]
     if finished:
         raise CheckpointError(
             f"engine checkpoint lists finished deployments {finished}; "
             "only in-flight work belongs there"
         )
+    engine.set_inflight(deployments)
     trace = require_fields(data["trace"], "trace", _TRACE_FIELDS)
     engine.trace.times = list(trace["times"])
     engine.trace._counter_rows = [

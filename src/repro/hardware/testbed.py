@@ -69,8 +69,18 @@ class ResourceDemand:
 
     @staticmethod
     def total(demands: list["ResourceDemand"]) -> "ResourceDemand":
-        acc = ResourceDemand()
-        for demand in demands:
+        """Left fold of ``demands`` in list order; zero for no demands.
+
+        The fold starts at the first demand rather than at a zero one:
+        ``0.0 + x`` is ``x`` bit for bit for every field value but
+        ``-0.0``, so the partial sums are those of a zero start, and the
+        total of one demand (an engine's kept aggregate) allocates
+        nothing.
+        """
+        if not demands:
+            return ResourceDemand()
+        acc = demands[0]
+        for demand in demands[1:]:
             acc = acc + demand
         return acc
 

@@ -460,8 +460,9 @@ class OrchestratorDaemon:
                     )
                     return FleetDecision(index, MemoryMode.LOCAL), None
         # Veto action, or a downgrade with no local headroom anywhere.
+        # The row and its outcome join belong to the engine judged.
         self.counters["vetoed"] += 1
-        engine = self.fleet.engines[0]
+        engine = self.fleet.engines[decision.node_index]
         node = verdict.detail.get("node", engine.node_label or "n0")
         self._audit_safety(
             profile, engine, "none", f"safety-veto:{constraint}", constraint

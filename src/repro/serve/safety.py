@@ -248,8 +248,7 @@ class SafetyMonitor:
             if fleet is None or fleet.pool is None:
                 return None
             offered = [
-                sum(d.demand().remote_bw_gbps for d in eng.running)
-                for eng in fleet.engines
+                eng.inflight_demand.remote_bw_gbps for eng in fleet.engines
             ]
             index = fleet.engines.index(engine) if engine in fleet.engines else 0
             offered[index] += profile.remote_bw_gbps
@@ -257,8 +256,10 @@ class SafetyMonitor:
         if kind == "max_pool_capacity":
             if fleet is None or fleet.pool is None:
                 return None
+            # Against the surviving pool, as RemotePool.fits admits.
             used = sum(fleet._remote_used_gb()) + profile.footprint_gb
-            return used / fleet.pool.capacity_gb, constraint.limit
+            capacity = max(fleet.pool.effective_capacity_gb, 1e-12)
+            return used / capacity, constraint.limit
         if kind == "max_qos_burn_rate":
             if self.slo is None or (
                 profile.kind is not WorkloadKind.LATENCY_CRITICAL
@@ -272,12 +273,7 @@ class SafetyMonitor:
             return rates[min(rates)], constraint.limit
         if kind == "max_concurrent_remote":
             engines = fleet.engines if fleet is not None else [engine]
-            count = sum(
-                1
-                for eng in engines
-                for d in eng.running
-                if d.mode is MemoryMode.REMOTE
-            )
+            count = sum(eng.inflight_remote for eng in engines)
             return float(count + 1), constraint.limit + 0.5
         if kind == "breaker_closed":
             if self.breaker is None:

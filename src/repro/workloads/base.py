@@ -127,6 +127,24 @@ class WorkloadProfile:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} cannot be negative")
+        # Both demands are built (and validated) once, here: demand(mode)
+        # runs for every in-flight app, so it must not allocate.
+        object.__setattr__(self, "_local_demand", ResourceDemand(
+            cpu_threads=self.cpu_threads,
+            l2_mb=self.l2_mb,
+            llc_mb=self.llc_mb,
+            llc_access_gbps=self.llc_access_gbps,
+            local_bw_gbps=self.mem_bw_gbps,
+            local_gb=self.footprint_gb,
+        ))
+        object.__setattr__(self, "_remote_demand", ResourceDemand(
+            cpu_threads=self.cpu_threads,
+            l2_mb=self.l2_mb,
+            llc_mb=self.llc_mb,
+            llc_access_gbps=self.llc_access_gbps,
+            remote_bw_gbps=self.remote_bw_gbps,
+            remote_gb=self.footprint_gb,
+        ))
 
     # -- demand --------------------------------------------------------
     def demand(self, mode: MemoryMode) -> ResourceDemand:
@@ -137,22 +155,8 @@ class WorkloadProfile:
         the footprint occupies lender memory instead of local DRAM.
         """
         if mode is MemoryMode.LOCAL:
-            return ResourceDemand(
-                cpu_threads=self.cpu_threads,
-                l2_mb=self.l2_mb,
-                llc_mb=self.llc_mb,
-                llc_access_gbps=self.llc_access_gbps,
-                local_bw_gbps=self.mem_bw_gbps,
-                local_gb=self.footprint_gb,
-            )
-        return ResourceDemand(
-            cpu_threads=self.cpu_threads,
-            l2_mb=self.l2_mb,
-            llc_mb=self.llc_mb,
-            llc_access_gbps=self.llc_access_gbps,
-            remote_bw_gbps=self.remote_bw_gbps,
-            remote_gb=self.footprint_gb,
-        )
+            return self._local_demand
+        return self._remote_demand
 
     # -- slowdown ------------------------------------------------------
     def slowdown(self, pressure: SystemPressure, mode: MemoryMode) -> float:

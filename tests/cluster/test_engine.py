@@ -1,8 +1,9 @@
 import pytest
 
 from repro.cluster import CapacityError, ClusterEngine
-from repro.hardware import NodeConfig, Testbed, TestbedConfig
-from repro.workloads import MemoryMode, ibench_profile, spark_profile
+from repro.cluster.scenario import default_pool
+from repro.hardware import NodeConfig, ResourceDemand, Testbed, TestbedConfig
+from repro.workloads import MemoryMode, WorkloadKind, ibench_profile, spark_profile
 
 
 @pytest.fixture
@@ -90,6 +91,43 @@ class TestContention:
         before = len(engine.deployments)
         engine.measure_isolated(spark_profile("lr"), MemoryMode.LOCAL)
         assert len(engine.deployments) == before
+
+
+class TestDemandAggregate:
+    def test_steady_tick_demand_work_does_not_grow_with_running_set(
+        self, monkeypatch
+    ):
+        # Pressure reads the engine's kept aggregate, so a tick with no
+        # placement and no finish builds the same number of demands
+        # however many apps are in flight.
+        built = []
+        validate = ResourceDemand.__post_init__
+
+        def counted(demand):
+            built.append(demand)
+            validate(demand)
+
+        long_running = [
+            profile.with_overrides(nominal_runtime_s=1e6)
+            for profile in default_pool()
+            if profile.kind is WorkloadKind.BEST_EFFORT
+        ]
+
+        def built_per_tick(n_apps: int) -> float:
+            engine = ClusterEngine(
+                testbed=Testbed(TestbedConfig(counter_noise=0.0))
+            )
+            for index, profile in enumerate(long_running[:n_apps]):
+                engine.deploy(profile, list(MemoryMode)[index % 2])
+            monkeypatch.setattr(ResourceDemand, "__post_init__", counted)
+            built.clear()
+            for _ in range(50):
+                engine.tick()
+            monkeypatch.undo()
+            assert len(engine.running) == n_apps
+            return len(built) / 50
+
+        assert built_per_tick(2) == built_per_tick(12)
 
 
 class TestHooks:

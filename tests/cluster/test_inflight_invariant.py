@@ -6,9 +6,12 @@ detector drains into the failover queue, a pool device failure that
 evicts remote segments, and checkpoint save → restore.  After every
 tick each engine's ``deployments`` are all running, in strictly
 increasing ``app_id`` order; the conservation ledger balances; and a
-fleet restored from the checkpoint re-saves byte-identically.
+fleet restored from the checkpoint re-saves byte-identically.  After
+every step, and on every restored fleet, each engine's kept demand
+aggregate equals a from-scratch fold of its list.
 """
 
+import dataclasses
 import json
 
 from hypothesis import example, given, settings
@@ -20,6 +23,7 @@ from repro.cluster.scenario import default_pool
 from repro.faults.checkpoint import fleet_state, load_fleet_state
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hardware.pool import RemotePoolConfig
+from repro.hardware.testbed import ResourceDemand
 from repro.workloads import MemoryMode
 
 PROFILES = {p.name: p for p in default_pool()}
@@ -88,7 +92,22 @@ def restore(fleet, plan) -> ClusterFleet:
     restored = build(plan)
     load_fleet_state(restored, json.loads(saved), PROFILES)
     assert json.dumps(fleet_state(restored)) == saved
+    check_aggregate(restored)
     return restored
+
+
+def check_aggregate(fleet) -> None:
+    """Each engine's aggregate is its list's left fold, bit for bit."""
+    for engine in fleet.engines:
+        for field in dataclasses.fields(ResourceDemand):
+            folded = 0.0
+            for deployment in engine.deployments:
+                demand = deployment.profile.demand(deployment.mode)
+                folded = folded + getattr(demand, field.name)
+            kept = getattr(engine.inflight_demand, field.name)
+            assert kept == folded, (engine.node_label, field.name)
+        remote = sum(d.mode is MemoryMode.REMOTE for d in engine.deployments)
+        assert engine.inflight_remote == remote, engine.node_label
 
 
 def check(fleet, plan) -> None:
@@ -137,6 +156,8 @@ class TestInFlightInvariant:
                     running[step[1] % len(running)].complete_early()
             elif step[0] == "save":
                 fleet = restore(fleet, plan)
+            check_aggregate(fleet)
             for _ in range(ticks_of(step)):
                 fleet.tick()
+                check_aggregate(fleet)
                 check(fleet, plan)

@@ -234,6 +234,10 @@ class TestSafetyIntegration:
             r.reason == "safety-veto:max_concurrent_remote" for r in audited
         )
         assert all(r.chosen_mode == "none" for r in audited)
+        # Each row names the node the verdict judged, as its ledger entry does.
+        for row, response in zip(audited, vetoed):
+            assert row.node == daemon.ledger[response["id"]]["node"]
+            assert row.node == response["detail"]["node"]
 
     def test_downgrade_lands_locally(self, clock):
         envelope = SafetyEnvelope(

@@ -162,6 +162,26 @@ class TestMonitorVerdicts:
         assert verdict.action == "veto"
         assert verdict.constraint == "max_pool_capacity"
 
+    def test_pool_capacity_ceiling_reads_the_surviving_pool(self):
+        fleet = ClusterFleet(
+            n_nodes=2,
+            pool=RemotePoolConfig(regime="pooled", capacity_gb=100.0),
+        )
+        scan = be_profiles()["scan"]
+        for _ in range(5):
+            fleet.engines[0].deploy(scan, MemoryMode.REMOTE)
+        fleet.pool.set_device_factors(0.5, 1.0)
+        monitor = SafetyMonitor(
+            SafetyEnvelope((SafetyConstraint("max_pool_capacity", 0.95),))
+        )
+        verdict = monitor.review(
+            scan, MemoryMode.REMOTE, fleet.engines[1], fleet=fleet
+        )
+        # 40 GB drawn + 8 GB would fill 96 % of the 50 GB that survive.
+        assert verdict.action == "veto"
+        assert verdict.constraint == "max_pool_capacity"
+        assert verdict.detail["value"] == 0.96
+
     def test_first_violation_wins_declared_order(self):
         fleet = ClusterFleet(n_nodes=1)
         engine = fleet.engines[0]

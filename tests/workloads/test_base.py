@@ -1,6 +1,7 @@
 import pytest
 
-from repro.hardware import Testbed, TestbedConfig
+from repro.cluster.scenario import default_pool
+from repro.hardware import ResourceDemand, Testbed, TestbedConfig
 from repro.workloads import (
     MemoryMode,
     SensitivityVector,
@@ -27,6 +28,13 @@ def make_profile(**overrides):
     return WorkloadProfile(**defaults)
 
 
+#: Profile fields that feed its resource demand.
+DEMAND_FIELDS = (
+    "cpu_threads", "l2_mb", "llc_mb", "llc_access_gbps", "mem_bw_gbps",
+    "remote_bw_gbps", "footprint_gb",
+)
+
+
 @pytest.fixture
 def testbed():
     return Testbed(TestbedConfig(counter_noise=0.0))
@@ -44,8 +52,9 @@ class TestValidation:
             make_profile(remote_slowdown=0.9)
 
     def test_negative_demand_rejected(self):
-        with pytest.raises(ValueError):
-            make_profile(mem_bw_gbps=-1.0)
+        for name in DEMAND_FIELDS:
+            with pytest.raises(ValueError, match=f"{name} cannot be negative"):
+                make_profile(**{name: -1.0})
 
     def test_negative_sensitivity_rejected(self):
         with pytest.raises(ValueError):
@@ -79,6 +88,29 @@ class TestDemand:
             demand = profile.demand(mode)
             assert demand.llc_mb == 2.0
             assert demand.cpu_threads == 4.0
+
+    @pytest.mark.parametrize("mode", list(MemoryMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("profile", default_pool(), ids=lambda p: p.name)
+    def test_kept_demand_equals_a_fresh_build(self, profile, mode):
+        local = mode is MemoryMode.LOCAL
+        fresh = ResourceDemand(
+            cpu_threads=profile.cpu_threads,
+            l2_mb=profile.l2_mb,
+            llc_mb=profile.llc_mb,
+            llc_access_gbps=profile.llc_access_gbps,
+            local_bw_gbps=profile.mem_bw_gbps if local else 0.0,
+            remote_bw_gbps=0.0 if local else profile.remote_bw_gbps,
+            local_gb=profile.footprint_gb if local else 0.0,
+            remote_gb=0.0 if local else profile.footprint_gb,
+        )
+        assert profile.demand(mode) == fresh
+
+    def test_overrides_rebuild_the_demand(self):
+        profile = make_profile()
+        bigger = profile.with_overrides(footprint_gb=32.0)
+        assert bigger.demand(MemoryMode.LOCAL).local_gb == 32.0
+        assert bigger.demand(MemoryMode.REMOTE).remote_gb == 32.0
+        assert profile.demand(MemoryMode.LOCAL).local_gb == 8.0
 
 
 class TestSlowdown:
