@@ -2,9 +2,10 @@
 """Engine benchmark CLI: ticks/sec, decisions/sec, phase breakdown.
 
 Thin wrapper over :mod:`repro.obs.perf.bench` — measures the simulator's
-throughput at three scenario scales, the full Adrias decision path at
-1–1000 candidate placements per tick, and a per-phase cost breakdown of
-a congested policy-driven scenario.  Run::
+throughput at three scenario scales, the full Adrias decision path (one
+decision per tick), the LSTM's inference-mode forward against its
+training-mode one, the fleet tick at 1, 8 and 64 nodes, and a per-phase
+cost breakdown of a congested policy-driven scenario.  Run::
 
     PYTHONPATH=src python benchmarks/bench_engine.py                 # full
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke         # CI
@@ -28,7 +29,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI mode: short durations, tiny LSTM, fewer candidate counts",
+        help="CI mode: short durations, tiny LSTM, best of 2",
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
@@ -37,11 +38,6 @@ def main() -> int:
     parser.add_argument(
         "--hidden", type=int, default=32,
         help="LSTM hidden width (default 32, the paper's size)",
-    )
-    parser.add_argument(
-        "--candidates", type=int, nargs="+", default=None, metavar="N",
-        help="candidate counts for the decision sweep "
-             "(default 1 8 64 256 1000; smoke: 1 8 64)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="scenario seed (default 0)"
@@ -56,7 +52,6 @@ def main() -> int:
         smoke=args.smoke,
         repeats=args.repeats,
         hidden=args.hidden,
-        candidate_counts=tuple(args.candidates) if args.candidates else None,
         seed=args.seed,
     )
     print(format_report(report))

@@ -35,7 +35,7 @@ class ScriptedPredictor:
     """Duck-typed Predictor stand-in returning isolated baselines.
 
     Implements exactly the surface :class:`AdriasPolicy` touches
-    (``has_signature`` / ``attach`` / ``config`` / ``predict_both_modes``)
+    (``has_signature`` / ``config`` / ``predict_both_modes``)
     so the demo needs no trained models.  Multiplying ``degradation``
     models a predictor that has drifted off the workload distribution:
     estimates scale away from reality while staying self-consistent, so
@@ -49,9 +49,6 @@ class ScriptedPredictor:
 
     def has_signature(self, profile) -> bool:
         return True
-
-    def attach(self, engine) -> None:
-        pass
 
     def predict_both_modes(self, profile, history, deadline_s=None) -> dict:
         if profile.kind is WorkloadKind.LATENCY_CRITICAL:

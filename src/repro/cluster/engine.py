@@ -150,12 +150,9 @@ class ClusterEngine:
 
     # -- tick hooks ---------------------------------------------------------
     def add_tick_hook(self, hook: Callable[["ClusterEngine"], None]) -> None:
-        """Register ``hook(engine)`` to run at the end of every tick.
-
-        Registration is idempotent (the same hook is never invoked twice
-        per tick), so callers on per-arrival paths — e.g. a Predictor
-        keeping its per-tick Ŝ memo fresh — can attach unconditionally.
-        """
+        """Register ``hook(engine)`` (a fault injector's or a live
+        session's) to run at the end of every tick; registering the same
+        hook twice adds nothing."""
         if hook not in self._tick_hooks:
             self._tick_hooks.append(hook)
 

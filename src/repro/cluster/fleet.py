@@ -29,15 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from repro import obs
 from repro.cluster.deployment import Deployment, DeploymentRecord
-from repro.cluster.engine import (
-    CapacityError,
-    ClusterEngine,
-    RemoteUnavailableError,
-)
+from repro.cluster.engine import CapacityError, ClusterEngine
 from repro.hardware.config import TestbedConfig
 from repro.hardware.pool import RemotePool, RemotePoolConfig
 from repro.hardware.testbed import Testbed
@@ -325,50 +319,6 @@ class ClusterFleet:
             profile, decision.mode, duration_s=duration_s, decided_s=decided_s
         )
 
-    def deploy_anywhere(
-        self,
-        profile: WorkloadProfile,
-        mode: MemoryMode,
-        duration_s: float | None = None,
-        decided_s: float | None = None,
-    ) -> Deployment | None:
-        """Place on the first node with capacity, skipping outaged links.
-
-        A node whose link is out (``RemoteUnavailableError``) does not
-        fail the whole fleet: remaining nodes are tried, and when *every*
-        node with capacity is outaged the deployment is parked on the
-        least-loaded of them via :meth:`ClusterEngine.queue_remote`
-        (returning ``None``).  Raises :class:`CapacityError` only when
-        the workload genuinely fits nowhere.
-        """
-        outaged: list[int] = []
-        for index, engine in enumerate(self.engines):
-            if not engine.fits(profile, mode):
-                continue
-            if engine.journey is not None:
-                engine.journey.hop(
-                    profile.name,
-                    decided_s if decided_s is not None else engine.now,
-                    "placement",
-                    engine.now,
-                    mode=mode.value,
-                )
-            try:
-                return engine.deploy(
-                    profile, mode, duration_s=duration_s, decided_s=decided_s
-                )
-            except RemoteUnavailableError:
-                outaged.append(index)
-        if outaged:
-            target = min(outaged, key=self.node_load)
-            self.engines[target].queue_remote(
-                profile, duration_s=duration_s, decided_s=decided_s
-            )
-            return None
-        raise CapacityError(
-            f"{profile.name} does not fit in {mode.value} memory on any node"
-        )
-
     # -- simulation ----------------------------------------------------------
     def tick(self) -> None:
         acct = perf_accounting()
@@ -458,12 +408,6 @@ class ClusterFleet:
             + pressure.llc.occupancy
             + pressure.link.utilization
         )
-
-    def least_loaded_node(self) -> int:
-        loads = [self.node_load(i) for i in range(self.n_nodes)]
-        if not np.isfinite(min(loads)):
-            raise CapacityError("every node in the fleet is down")
-        return int(np.argmin(loads))
 
 
 class LeastLoadedPlacement:

@@ -11,22 +11,15 @@ LC) behind the API the Orchestrator consumes:
   propagated into the performance model (the {120, Ŝ} configuration
   that Fig. 13b identifies as the best practical approach).
 
-The inference path is the cluster's decision critical path, so it is
-built for throughput:
-
-* :meth:`Predictor.predict_both_modes` encodes the window once and
-  scores local and remote with the performance model's head, reusing
-  the cached encoding of the application's signature;
-* the sub-sampled window and Ŝ are memoized per distinct history
-  window (content-keyed), so a tick with many candidate arrivals runs
-  the system-state model once; :meth:`Predictor.attach` registers a
-  :class:`~repro.cluster.engine.ClusterEngine` tick hook that
-  invalidates the memo whenever simulated time advances.
+The inference path is the cluster's decision critical path:
+:meth:`Predictor.predict_both_modes` encodes the window once and scores
+local and remote with the performance model's head, reusing the cached
+encoding of the application's signature.  The window and Ŝ are computed
+afresh on every call; no workload makes more than one decision per tick,
+so there is nothing to share between calls.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -59,12 +52,6 @@ class Predictor:
         self.signatures = signatures if signatures is not None else SignatureLibrary(
             feature_config=self.config
         )
-        # Per-tick inference memo: one slot keyed on the raw history
-        # window's content, holding the sub-sampled window and (lazily)
-        # the Ŝ computed from it.
-        self._memo_key: tuple | None = None
-        self._memo_window: np.ndarray | None = None
-        self._memo_future: np.ndarray | None = None
         #: Inference-path fault hook (``before_inference`` /
         #: ``corrupt_output``), installed by a FaultInjector while a
         #: plan targets the predictor; ``None`` on the healthy path.
@@ -78,80 +65,34 @@ class Predictor:
         """Record the counters captured during a first remote run (§V-C)."""
         self.signatures.add(name, rows)
 
-    # -- per-tick memo -------------------------------------------------------
-    def attach(self, engine) -> None:
-        """Invalidate the inference memo on every tick of ``engine``.
-
-        Idempotent; the AdriasPolicy calls this on each decision so the
-        memo can never serve a stale Ŝ after simulated time advances.
-        """
-        engine.add_tick_hook(self._on_engine_tick)
-
-    def detach(self, engine) -> None:
-        """Stop tracking ``engine``; safe to call when not attached."""
-        engine.remove_tick_hook(self._on_engine_tick)
-
-    def _on_engine_tick(self, engine) -> None:
-        self.invalidate_memo()
-
-    def invalidate_memo(self) -> None:
-        """Drop the memoized window/Ŝ (forces fresh forwards)."""
-        self._memo_key = None
-        self._memo_window = None
-        self._memo_future = None
-
-    @staticmethod
-    def _window_key(history_raw: np.ndarray) -> tuple:
-        digest = hashlib.blake2b(
-            np.ascontiguousarray(history_raw).tobytes(), digest_size=16
-        ).digest()
-        return (history_raw.shape, digest)
-
     def _window(self, history_raw: np.ndarray) -> np.ndarray:
-        """Sub-sampled history window, memoized per distinct raw window.
+        """Sub-sampled history window.
 
         NaN gaps (telemetry dropouts/corruption) are forward-filled
-        before sub-sampling — the LSTMs require finite inputs.  The memo
-        key is taken over the *raw* window, so two identical faulted
-        windows still share one fill + forward.
+        before sub-sampling — the LSTMs require finite inputs.
         """
-        key = self._window_key(history_raw)
-        if key == self._memo_key and self._memo_window is not None:
-            self._observe_memo_hit("window")
-            return self._memo_window
         acct = perf_accounting()
         t0 = acct.clock() if acct is not None else 0.0
-        self._memo_key = key
         filled, n_imputed = impute_gaps(history_raw)
         if n_imputed and obs.enabled():
             obs.metrics().counter(
                 "predictor_imputed_values_total",
                 "NaN history values forward-filled before inference",
             ).inc(n_imputed)
-        self._memo_window = subsample(
-            filled, self.config.sample_period_s, self.config.dt
-        )
-        self._memo_future = None
+        window = subsample(filled, self.config.sample_period_s, self.config.dt)
         if acct is not None:
             acct.lap("predictor.window", t0)
-        return self._memo_window
+        return window
 
     def _system_state(
         self, history_raw: np.ndarray, label: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(window, Ŝ) for ``history_raw``, memoized alongside each other.
-
-        ``label`` names the obs counter an *actual* forward is recorded
-        under; memo hits increment ``predictor_memo_hits_total`` instead,
-        so inference counters always equal true forward-pass counts.
-        """
+        """(window, Ŝ) for ``history_raw``; ``label`` names the obs
+        counter the forward is recorded under."""
         window = self._window(history_raw)
-        if self._memo_future is not None:
-            self._observe_memo_hit("system_state")
-            return window, self._memo_future
         acct = perf_accounting()
         t0 = acct.clock() if acct is not None else 0.0
-        self._memo_future = self.system_state.predict(window)
+        future = self.system_state.predict(window)
         self._observe_inference(
             label,
             acct.lap("predictor.system_state", t0) - t0
@@ -159,14 +100,14 @@ class Predictor:
         )
         live = obs.live_session()
         if live is not None:
-            live.note_state_forecast(self._memo_future, self.config.horizon_s)
-        return window, self._memo_future
+            live.note_state_forecast(future, self.config.horizon_s)
+        return window, future
 
     # -- inference -------------------------------------------------------------
     def predict_system_state(self, history_raw: np.ndarray) -> np.ndarray:
         """Ŝ (mean metrics over the next horizon) from a raw 1 Hz window."""
         history_raw = np.asarray(history_raw, dtype=np.float64)
-        return self._system_state(history_raw, label="system_state")[1].copy()
+        return self._system_state(history_raw, label="system_state")[1]
 
     def predict_performance(
         self,
@@ -227,15 +168,6 @@ class Predictor:
         if self.chaos is not None:
             estimates = self.chaos.corrupt_output(profile.kind.value, estimates)
         return {m: float(estimates[i]) for i, m in enumerate(modes)}
-
-    def _observe_memo_hit(self, entry: str) -> None:
-        if not obs.enabled():
-            return
-        obs.metrics().counter(
-            "predictor_memo_hits_total",
-            "Inference-memo hits that skipped recomputation",
-            labels=("entry",),
-        ).labels(entry=entry).inc()
 
     def _observe_inference(
         self, model_name: str, elapsed_s: float | None

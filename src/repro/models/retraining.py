@@ -118,10 +118,8 @@ def retrain_on_drift(
     and a live drift alarm triggers a retrain on ``traces`` and swaps
     the fresh :class:`Predictor` into ``policy.predictor`` — the
     "continuous retraining is crucial" loop of Fig. 15, driven by the
-    online Page–Hinkley detector instead of a human.  The stale
-    predictor's engine tick hooks stay registered (they only invalidate
-    its now-unused memo); the policy re-attaches the fresh one on its
-    next decision.
+    online Page–Hinkley detector instead of a human.  The policy's next
+    decision uses the fresh predictor; no engine holds the stale one.
 
     Pass ``gate=`` a :class:`repro.models.promotion.GateConfig` to route
     the retrain through :func:`repro.models.promotion.gated_retrain`

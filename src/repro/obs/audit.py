@@ -13,7 +13,9 @@ decision recorded against an engine chains that engine's ``on_finish``
 (preserving any caller-installed hook) and keeps a per-engine pending
 table keyed by ``(name, arrival_time)``.  Capacity fallbacks (deploys
 that land on the other pool) still join — the actual mode is part of the
-outcome and flagged as a fallback.
+outcome and flagged as a fallback.  A row whose choice will not run (a
+safety veto, or a plan a veto or downgrade overrode) is disarmed, so
+only the row of what was actually placed waits for an outcome.
 """
 
 from __future__ import annotations
@@ -174,6 +176,20 @@ class DecisionAuditLog:
         pending.setdefault(self._key(app_name, engine.now), []).append(record)
         return record
 
+    def disarm(self, engine: "ClusterEngine", record: DecisionRecord) -> None:
+        """Withdraw ``record``'s outcome join on ``engine``: nothing it
+        chose will finish there (a later decision overrode it, or it
+        placed nothing).  A row not armed there is left alone."""
+        pending: dict = getattr(engine, _PENDING_ATTR, {})
+        key = self._key(record.app_name, record.sim_time)
+        queue = pending.get(key, [])
+        for index, armed in enumerate(queue):
+            if armed is record:
+                del queue[index]
+                if not queue:
+                    del pending[key]
+                return
+
     @staticmethod
     def _key(name: str, time: float) -> tuple[str, float]:
         return (name, round(time, 6))
@@ -331,6 +347,9 @@ class NullAuditLog:
 
     def record(self, **kwargs) -> None:
         return None
+
+    def disarm(self, engine, record) -> None:
+        pass
 
     def joined(self) -> list[DecisionRecord]:
         return []

@@ -196,9 +196,10 @@ class FleetJournal:
                     journey = candidate
                     break
             if journey is None and stage == "placement" and queue:
-                # deploy_anywhere records one placement hop per
-                # *attempted* node; later attempts belong to the
-                # deployment being placed right now.
+                # One placement hop per *attempt*: the round-robin fleet
+                # replay tries the other pool when the first does not
+                # fit, and that retry belongs to the deployment being
+                # placed right now.
                 journey = queue[-1]
         else:
             # Retry/terminal hops carry the acting node — prefer the

@@ -64,7 +64,7 @@ PHASE_NAMES = (
     "engine.arbitration",   # link/capacity contention resolution
     "engine.advance",       # per-deployment progress under pressure
     "engine.telemetry",     # perf-counter sampling into the trace
-    "engine.tick_hooks",    # fault injector / memo / live-obs hooks
+    "engine.tick_hooks",    # fault injector / live-obs hooks
     "engine.obs_export",    # metrics-registry export block
     "predictor.window",     # feature/window build (impute + subsample)
     "predictor.system_state",  # Ŝ computation (system-state forward)

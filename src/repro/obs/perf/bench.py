@@ -5,10 +5,11 @@ Measures the simulator's two throughput axes —
 * **ticks/sec** across scenario scales (an idle engine, the paper's
   relaxed {5, 60} and congested {5, 20} arrival regimes), and
 * **decisions/sec** for the full Adrias decision path (history window →
-  Ŝ → batched two-mode forward → β/QoS rule) at 1–1000 candidate
-  placements arriving within one tick —
+  Ŝ → two-mode forward → β/QoS rule), one decision per tick as in every
+  replay —
 
-plus a per-phase cost breakdown of a congested policy-driven scenario
+plus the LSTM's inference-mode speedup over its training-mode forward
+and a per-phase cost breakdown of a congested policy-driven scenario
 (recorded by :mod:`repro.obs.perf.accounting`), so a regression caught
 by the gate is attributable to the phase that slowed down.
 
@@ -47,6 +48,7 @@ __all__ = [
     "fabricate_predictor",
     "bench_ticks",
     "bench_decisions",
+    "bench_lstm",
     "bench_fleet",
     "bench_phases",
     "congested_adrias",
@@ -58,10 +60,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: Candidate-placement counts of the full decision sweep (1–1000).
-DEFAULT_CANDIDATES = (1, 8, 64, 256, 1000)
-SMOKE_CANDIDATES = (1, 8, 64)
-
 #: Rack sizes of the fleet tick sweep (per-tick pool arbitration cost).
 DEFAULT_FLEET_SIZES = (1, 8, 64)
 
@@ -70,12 +68,10 @@ def fabricate_predictor(
     config: FeatureConfig | None = None,
     lstm_hidden: int = 32,
     seed: int = 0,
-    with_lc: bool = True,
 ) -> Predictor:
     """A fully wired Predictor with fabricated (untrained) weights.
 
-    Shared by ``benchmarks/bench_predictor.py`` and the engine bench:
-    scalers are fitted on synthetic samples so the numeric pipeline runs
+    Scalers are fitted on synthetic samples so the numeric pipeline runs
     end to end, while the weights stay at their seeded initialization.
     """
     config = config if config is not None else FeatureConfig()
@@ -94,20 +90,17 @@ def fabricate_predictor(
         feature_config=config, lstm_hidden=lstm_hidden, seed=seed + 1
     )
     be.metric_scaler.fit(sample.reshape(-1, n_metrics))
-    # A narrow, realistic runtime range: predictions come out of a log
-    # transform, so a wide target scale would exp-amplify 1-ulp GEMM
-    # differences past the 1e-12 identity gate on untrained weights.
+    # A narrow, realistic runtime range; predictions come out of a log
+    # transform.
     be.target_scaler.fit(np.log(rng.uniform(30.0, 60.0, size=(64, 1))))
     be._trained = True
 
-    lc = None
-    if with_lc:
-        lc = PerformancePredictor(
-            feature_config=config, lstm_hidden=lstm_hidden, seed=seed + 2
-        )
-        lc.metric_scaler.fit(sample.reshape(-1, n_metrics))
-        lc.target_scaler.fit(np.log(rng.uniform(2.0, 20.0, size=(64, 1))))
-        lc._trained = True
+    lc = PerformancePredictor(
+        feature_config=config, lstm_hidden=lstm_hidden, seed=seed + 2
+    )
+    lc.metric_scaler.fit(sample.reshape(-1, n_metrics))
+    lc.target_scaler.fit(np.log(rng.uniform(2.0, 20.0, size=(64, 1))))
+    lc._trained = True
 
     signatures = SignatureLibrary(feature_config=config)
     signatures.add(
@@ -144,8 +137,7 @@ def _calibrate(predictor: Predictor, trace) -> None:
     predictor.system_state.input_scaler.fit(sub)
     predictor.system_state.target_scaler.fit(sub)
     for model in (predictor.be_performance, predictor.lc_performance):
-        if model is not None:
-            model.metric_scaler.fit(sub)
+        model.metric_scaler.fit(sub)
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -200,16 +192,14 @@ def bench_ticks(
 
 # -- decisions/sec -----------------------------------------------------------
 def bench_decisions(
-    candidate_counts: tuple[int, ...] = DEFAULT_CANDIDATES,
-    repeats: int = 3,
-    hidden: int = 32,
-    seed: int = 0,
+    repeats: int = 3, hidden: int = 32, seed: int = 0
 ) -> dict[str, dict[str, float]]:
-    """Adrias decisions/sec for N candidate placements within one tick.
+    """Adrias decisions/sec, one decision per tick.
 
-    All candidates of a tick share one history window, so the Ŝ memo
-    warms on the first candidate — exactly the production decision path
-    exercised by the Fig. 16/17 replays.
+    Each decision reads the history window, runs Ŝ and both modes'
+    performance forward, as every arrival of the Fig. 16/17 replays
+    does; no workload makes more than one decision per tick.  The
+    report keys the entry by its candidate count, ``"1"``.
     """
     config = FeatureConfig()
     predictor = fabricate_predictor(config, lstm_hidden=hidden, seed=seed)
@@ -223,20 +213,36 @@ def bench_decisions(
     engine.run_for(config.history_s + 5 * config.dt)
     _calibrate(predictor, engine.trace)
 
-    results: dict[str, dict[str, float]] = {}
-    for n in candidate_counts:
-        def one_tick(n: int = n) -> None:
-            predictor.invalidate_memo()  # fresh tick; memo warms on #1
-            for _ in range(n):
-                policy(profile, engine)
+    wall = _best_of(lambda: policy(profile, engine), repeats)
+    return {"1": {"candidates": 1, "wall_s": wall, "decisions_per_sec": 1 / wall}}
 
-        wall = _best_of(one_tick, repeats)
-        results[str(n)] = {
-            "candidates": n,
-            "wall_s": wall,
-            "decisions_per_sec": n / wall,
-        }
-    return results
+
+# -- LSTM forward modes ------------------------------------------------------
+def bench_lstm(
+    repeats: int = 3, hidden: int = 32, seed: int = 0
+) -> dict[str, float]:
+    """Training-mode vs inference-mode forward of the system-state model.
+
+    The training-mode forward keeps the per-step caches BPTT needs; the
+    inference mode is cache-free with one input-projection GEMM.  Both
+    run one ``(8, T, M)`` batch.
+    """
+    config = FeatureConfig()
+    model = SystemStatePredictor(
+        feature_config=config, lstm_hidden=hidden, seed=seed
+    ).model
+    x = np.random.default_rng(7).normal(
+        size=(8, config.history_steps, config.n_metrics)
+    )
+    model.train()
+    t_train = _best_of(lambda: model.forward(x), repeats)
+    model.eval()
+    t_infer = _best_of(lambda: model.forward(x), repeats)
+    return {
+        "train_mode_s": t_train,
+        "inference_mode_s": t_infer,
+        "speedup": t_train / t_infer,
+    }
 
 
 # -- fleet ticks/sec ---------------------------------------------------------
@@ -343,7 +349,6 @@ def run_engine_bench(
     smoke: bool = False,
     repeats: int = 3,
     hidden: int = 32,
-    candidate_counts: tuple[int, ...] | None = None,
     tick_duration_s: float | None = None,
     phase_duration_s: float | None = None,
     seed: int = 0,
@@ -352,17 +357,11 @@ def run_engine_bench(
     if smoke:
         repeats = min(repeats, 2)
         hidden = min(hidden, 8)
-        candidates = (
-            candidate_counts if candidate_counts is not None else SMOKE_CANDIDATES
-        )
         tick_duration = tick_duration_s if tick_duration_s is not None else 60.0
         phase_duration = (
             phase_duration_s if phase_duration_s is not None else 60.0
         )
     else:
-        candidates = (
-            candidate_counts if candidate_counts is not None else DEFAULT_CANDIDATES
-        )
         tick_duration = tick_duration_s if tick_duration_s is not None else 600.0
         phase_duration = (
             phase_duration_s if phase_duration_s is not None else 300.0
@@ -382,9 +381,9 @@ def run_engine_bench(
             duration_s=tick_duration, repeats=repeats, seed=seed
         ),
         "decisions": bench_decisions(
-            candidate_counts=candidates, repeats=repeats, hidden=hidden,
-            seed=seed,
+            repeats=repeats, hidden=hidden, seed=seed
         ),
+        "lstm": bench_lstm(repeats=repeats, hidden=hidden, seed=seed),
         "fleet": bench_fleet(
             duration_s=tick_duration, repeats=repeats, seed=seed
         ),
@@ -409,11 +408,19 @@ def format_report(report: dict) -> str:
             f"({entry['ticks']} ticks, {entry['mean_apps']:.1f} mean apps, "
             f"{entry['wall_s'] * 1e3:.1f} ms)"
         )
-    lines.append("Adrias decisions/sec by candidates-per-tick:")
-    for n, entry in report.get("decisions", {}).items():
+    decision = report.get("decisions", {}).get("1")
+    if decision:
         lines.append(
-            f"  {n:>5} candidates {entry['decisions_per_sec']:>10.1f} "
-            f"decisions/s  ({entry['wall_s'] * 1e3:.1f} ms/tick)"
+            f"Adrias decisions/sec: {decision['decisions_per_sec']:.1f} "
+            f"({decision['wall_s'] * 1e3:.2f} ms per decision)"
+        )
+    lstm = report.get("lstm")
+    if lstm:
+        lines.append(
+            f"LSTM forward (N=8): training mode "
+            f"{lstm['train_mode_s'] * 1e3:.2f} ms, inference mode "
+            f"{lstm['inference_mode_s'] * 1e3:.2f} ms "
+            f"({lstm['speedup']:.2f}x)"
         )
     fleet = report.get("fleet", {})
     if fleet:

@@ -1,10 +1,10 @@
 """Performance-regression gate over committed benchmark baselines.
 
-Compares a freshly measured benchmark report (``BENCH_engine.json`` /
-``BENCH_predictor.json``) against the committed baseline and fails when
-any shared throughput metric regresses beyond tolerance.  The gate is
-deliberately one-sided: running *faster* than the baseline never fails —
-the baseline is a floor, refreshed by committing new numbers.
+Compares a freshly measured benchmark report (``BENCH_engine.json``)
+against the committed baseline and fails when any shared throughput
+metric regresses beyond tolerance.  The gate is deliberately one-sided:
+running *faster* than the baseline never fails — the baseline is a
+floor, refreshed by committing new numbers.
 
 Two knobs absorb measurement noise:
 
@@ -18,8 +18,8 @@ Two knobs absorb measurement noise:
 Effective floor: ``baseline * (1 - tolerance) / headroom``.
 
 Shared between the ``repro obs perfcheck`` CLI and the CI ``perf-smoke``
-job; only metrics present in *both* reports are compared, so a smoke run
-(fewer candidate counts, smaller scales) gates the subset it measured.
+job; only metrics present in *both* reports are compared, so a report
+missing a section gates the subset it measured.
 """
 
 from __future__ import annotations
@@ -97,7 +97,16 @@ class GateResult:
         return "\n".join(lines)
 
 
-def _engine_metrics(report: dict) -> dict[str, float]:
+def extract_metrics(report: dict) -> dict[str, float]:
+    """Flat ``{name: value}`` of gate-able (higher-is-better) metrics of
+    an engine report (``scales`` / ``decisions`` / ``lstm`` / ``fleet``)."""
+    if not (
+        report.get("kind") == "engine" or "scales" in report or "decisions" in report
+    ):
+        raise ValueError(
+            "unrecognized benchmark report: expected the BENCH_engine.json "
+            "(scales/decisions) shape"
+        )
     metrics: dict[str, float] = {}
     for scale, entry in report.get("scales", {}).items():
         value = entry.get("ticks_per_sec")
@@ -111,41 +120,12 @@ def _engine_metrics(report: dict) -> dict[str, float]:
         value = entry.get("fleet_ticks_per_sec")
         if value:
             metrics[f"fleet_ticks_per_sec[{nodes}]"] = float(value)
-    return metrics
-
-
-def _predictor_metrics(report: dict) -> dict[str, float]:
-    metrics: dict[str, float] = {}
-    tick = report.get("tick", {})
-    if tick.get("speedup"):
-        # Fast-path-vs-sequential ratio: machine-speed independent, the
-        # primary guard that the batching/memo optimization stays on.
-        metrics["tick_speedup"] = float(tick["speedup"])
-    if tick.get("fast_s") and report.get("candidates"):
-        metrics["tick_candidates_per_sec"] = (
-            float(report["candidates"]) / float(tick["fast_s"])
-        )
     lstm = report.get("lstm", {})
     if lstm.get("speedup"):
+        # Training- over inference-mode forward time of the LSTM: a
+        # ratio, so independent of the machine's speed.
         metrics["lstm_inference_speedup"] = float(lstm["speedup"])
     return metrics
-
-
-def extract_metrics(report: dict) -> dict[str, float]:
-    """Flat ``{name: value}`` of gate-able (higher-is-better) metrics.
-
-    The report kind is self-describing: engine reports carry ``scales``
-    / ``decisions`` sections, predictor reports a ``tick`` section.
-    """
-    kind = report.get("kind")
-    if kind == "engine" or "scales" in report or "decisions" in report:
-        return _engine_metrics(report)
-    if kind == "predictor" or "tick" in report:
-        return _predictor_metrics(report)
-    raise ValueError(
-        "unrecognized benchmark report: expected BENCH_engine.json "
-        "(scales/decisions) or BENCH_predictor.json (tick/lstm) shape"
-    )
 
 
 def compare_reports(
@@ -180,7 +160,7 @@ def load_report(path: str | Path) -> dict:
     if not path.exists():
         raise FileNotFoundError(
             f"no benchmark report at {path} — run benchmarks/bench_engine.py "
-            f"(or bench_predictor.py) with --json first"
+            f"with --json first"
         )
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)

@@ -377,11 +377,6 @@ class AdriasPolicy(_BasePolicy):
         self, profile: WorkloadProfile, engine: ClusterEngine
     ) -> dict[MemoryMode, float]:
         """One guarded inference; raises :class:`InferenceFault` on failure."""
-        # Keep the predictor's per-tick Ŝ memo fresh: the engine tick
-        # hook invalidates it whenever simulated time advances, so all
-        # candidates evaluated within one tick share a single
-        # system-state forward.  attach() is idempotent.
-        self.predictor.attach(engine)
         estimates = self.predictor.predict_both_modes(
             profile, self._history(engine), deadline_s=self.decision_deadline_s
         )

@@ -390,6 +390,8 @@ class OrchestratorDaemon:
         ):
             return {"ok": False, "error": "duration must be positive"}
         decided = self.fleet.now
+        audit = obs.audit()
+        first_row = len(audit)
         try:
             decision = self.scheduler(profile, self.fleet)
         except CapacityError as error:
@@ -407,6 +409,9 @@ class OrchestratorDaemon:
             fleet=self.fleet, clock=self.fleet.now,
         )
         if not verdict.admitted:
+            # The override supersedes the scheduler's plan row.
+            for row in audit.records[first_row:]:
+                audit.disarm(engine, row)
             decision, veto = self._apply_verdict(profile, decision, verdict)
             if veto is not None:
                 return veto
@@ -464,9 +469,10 @@ class OrchestratorDaemon:
         self.counters["vetoed"] += 1
         engine = self.fleet.engines[decision.node_index]
         node = verdict.detail.get("node", engine.node_label or "n0")
-        self._audit_safety(
+        row = self._audit_safety(
             profile, engine, "none", f"safety-veto:{constraint}", constraint
         )
+        obs.audit().disarm(engine, row)  # a veto places nothing to join
         entry = self._new_entry(
             profile.name, "vetoed",
             node=node, constraint=constraint,
@@ -480,8 +486,8 @@ class OrchestratorDaemon:
 
     def _audit_safety(
         self, profile, engine, chosen: str, reason: str, cause: str
-    ) -> None:
-        obs.audit().record(
+    ):
+        return obs.audit().record(
             engine=engine,
             policy=self.scheduler.name,
             app_name=profile.name,

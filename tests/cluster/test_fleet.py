@@ -10,7 +10,7 @@ from repro.cluster import (
     PoolAwarePlacement,
 )
 from repro.hardware import NodeConfig, RemotePoolConfig, TestbedConfig
-from repro.workloads import MemoryMode, ibench_profile, spark_profile
+from repro.workloads import MemoryMode, spark_profile
 from tests.helpers import assert_traces_identical
 
 
@@ -46,26 +46,8 @@ class TestFleetBasics:
         with pytest.raises(ValueError):
             ClusterFleet(n_nodes=0)
 
-    def test_deploy_anywhere_falls_through_nodes(self):
-        config = TestbedConfig(node=NodeConfig(dram_gb=10.0))
-        fleet = ClusterFleet(n_nodes=2, testbed_config=config)
-        a = fleet.deploy_anywhere(spark_profile("scan"), MemoryMode.LOCAL)
-        b = fleet.deploy_anywhere(spark_profile("scan"), MemoryMode.LOCAL)
-        assert {a.app_id, b.app_id} is not None
-        assert fleet.engines[0].running and fleet.engines[1].running
-        with pytest.raises(CapacityError):
-            fleet.deploy_anywhere(spark_profile("scan"), MemoryMode.LOCAL)
-
 
 class TestLoadBalancing:
-    def test_least_loaded_node_tracks_pressure(self):
-        fleet = ClusterFleet(n_nodes=2)
-        for _ in range(8):
-            fleet.deploy(ibench_profile("l3"), FleetDecision(0, MemoryMode.LOCAL),
-                         duration_s=1e6)
-        assert fleet.least_loaded_node() == 1
-        assert fleet.node_load(0) > fleet.node_load(1)
-
     def test_least_loaded_placement_spreads_work(self):
         from repro.orchestrator import AllLocalPolicy
 
@@ -103,46 +85,15 @@ class TestOutageBugfixes:
         # An outage-parked deployment is invisible to `running`; draining
         # on that alone used to drop it from the trace silently.
         fleet = ClusterFleet(n_nodes=2)
-        for engine in fleet.engines:
-            engine.remote_blocked = True
-        parked = fleet.deploy_anywhere(spark_profile("scan"), MemoryMode.REMOTE)
-        assert parked is None
+        fleet.engines[1].remote_blocked = True
+        fleet.engines[1].queue_remote(spark_profile("scan"))
         assert fleet.queued_remote == 1
-        for engine in fleet.engines:
-            engine.remote_blocked = False
+        fleet.engines[1].remote_blocked = False
         fleet.run_until_idle()
         records = fleet.records()
         assert len(records) == 1
         assert records[0].mode is MemoryMode.REMOTE
         assert fleet.queued_remote == 0
-
-    def test_deploy_anywhere_skips_outaged_node(self):
-        # Node 0's link outage must not fail the whole fleet while node 1
-        # has a healthy pool with capacity.
-        fleet = ClusterFleet(n_nodes=2)
-        fleet.engines[0].remote_blocked = True
-        deployment = fleet.deploy_anywhere(
-            spark_profile("scan"), MemoryMode.REMOTE
-        )
-        assert deployment is not None
-        assert fleet.engines[1].running
-        assert not fleet.engines[0].running
-
-    def test_deploy_anywhere_parks_when_every_node_outaged(self):
-        fleet = ClusterFleet(n_nodes=3)
-        for engine in fleet.engines:
-            engine.remote_blocked = True
-        deployment = fleet.deploy_anywhere(
-            spark_profile("scan"), MemoryMode.REMOTE
-        )
-        assert deployment is None  # parked, not raised
-        assert fleet.queued_remote == 1
-
-    def test_deploy_anywhere_still_raises_when_genuinely_full(self):
-        config = TestbedConfig(node=NodeConfig(remote_gb=1.0))
-        fleet = ClusterFleet(n_nodes=2, testbed_config=config)
-        with pytest.raises(CapacityError):
-            fleet.deploy_anywhere(spark_profile("scan"), MemoryMode.REMOTE)
 
     def test_deploy_threads_decided_s_to_record(self):
         fleet = ClusterFleet(n_nodes=2)
@@ -167,6 +118,15 @@ class TestOutageBugfixes:
         )
         assert decision.node_index == 1
         assert decision.mode is MemoryMode.REMOTE
+
+    def test_placement_raises_only_when_the_rack_is_full(self):
+        from repro.orchestrator import AllRemotePolicy
+
+        config = TestbedConfig(node=NodeConfig(dram_gb=1.0, remote_gb=1.0))
+        fleet = ClusterFleet(n_nodes=2, testbed_config=config)
+        fleet.engines[0].remote_blocked = True
+        with pytest.raises(CapacityError, match="fits nowhere"):
+            LeastLoadedPlacement(AllRemotePolicy())(spark_profile("scan"), fleet)
 
 
 class TestRackPool:

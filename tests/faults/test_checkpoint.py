@@ -310,9 +310,6 @@ class IsolatedRuntimePredictor:
     def has_signature(self, profile):
         return profile.name in self.signatures
 
-    def attach(self, engine):
-        pass
-
     def predict_both_modes(self, profile, history, deadline_s=None):
         return {mode: profile.isolated_runtime(mode) for mode in MemoryMode}
 

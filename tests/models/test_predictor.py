@@ -106,7 +106,7 @@ class TestPerformanceAPI:
 
 
 class TestFastPath:
-    """Batched dual-mode inference and the per-tick Ŝ memo."""
+    """Dual-mode inference: one window and one Ŝ forward per call."""
 
     def _count_system_state(self, service, monkeypatch):
         calls = {"n": 0}
@@ -123,67 +123,28 @@ class TestFastPath:
         """Both entry points match the batched (2, T, M) reference."""
         profile = spark_profile("gmm")
         reference = batched_reference(service, profile, history)
-        service.invalidate_memo()
         batched = service.predict_both_modes(profile, history)
         assert set(batched) == set(reference)
         for mode, value in reference.items():
             assert batched[mode] == pytest.approx(value, abs=1e-12)
-            service.invalidate_memo()  # each call recomputes Ŝ from scratch
             sequential = service.predict_performance(profile, history, mode)
             assert sequential == batched[mode]
-
-    def test_memoized_s_hat_identical_to_fresh(self, service, history):
-        service.invalidate_memo()
-        fresh = service.predict_system_state(history)
-        memoized = service.predict_system_state(history)
-        assert np.array_equal(fresh, memoized)
-        # Returned arrays are copies: mutating one must not poison the memo.
-        memoized[:] = -1.0
-        assert np.array_equal(service.predict_system_state(history), fresh)
 
     def test_one_system_state_forward_per_window(
         self, service, history, monkeypatch
     ):
+        """Every call builds its window and runs Ŝ on it exactly once,
+        even when a window repeats."""
         calls = self._count_system_state(service, monkeypatch)
-        service.invalidate_memo()
         service.predict_both_modes(spark_profile("gmm"), history)
         service.predict_both_modes(spark_profile("scan"), history)
         service.predict_system_state(history)
-        assert calls["n"] == 1  # all candidates share the memoized Ŝ
-
-    def test_tick_boundary_invalidates_memo(self, service, history, monkeypatch):
-        from repro.cluster import ClusterEngine
-
-        calls = self._count_system_state(service, monkeypatch)
-        engine = ClusterEngine()
-        service.attach(engine)
-        service.attach(engine)  # idempotent
-        try:
-            service.invalidate_memo()
-            service.predict_system_state(history)
-            service.predict_system_state(history)
-            assert calls["n"] == 1
-            engine.tick()
-            memoized_then_fresh = service.predict_system_state(history)
-            assert calls["n"] == 2  # same content, but the tick moved time on
-            assert np.all(memoized_then_fresh >= 0)
-        finally:
-            service.detach(engine)
-        engine.tick()  # detached: no hook left behind
-        service.detach(engine)  # safe when already detached
-
-    def test_different_window_misses_memo(self, service, history, monkeypatch):
-        calls = self._count_system_state(service, monkeypatch)
-        service.invalidate_memo()
-        service.predict_system_state(history)
-        service.predict_system_state(history + 1.0)
-        assert calls["n"] == 2
+        assert calls["n"] == 3
 
     def test_obs_counters_match_forward_counts(self, service, history):
         from repro import obs
 
         profile = spark_profile("gmm")
-        service.invalidate_memo()
         try:
             obs.enable()
             service.predict_both_modes(profile, history)
@@ -194,19 +155,13 @@ class TestFastPath:
                 "Predictor forward passes",
                 labels=("model",),
             )
-            # One true system-state forward, recorded under the nested
-            # label (regression: it used to double-count under both the
-            # outer timing and "system_state").
-            assert inferences.labels(model="system_state_nested").value == 1.0
-            assert inferences.labels(model="system_state").value == 0.0
+            # Each forward is counted once, under the label of its entry
+            # point (regression: a nested one used to count under both
+            # the outer timing and "system_state").
+            assert inferences.labels(model="system_state_nested").value == 2.0
+            assert inferences.labels(model="system_state").value == 1.0
             assert inferences.labels(model="be").value == 2.0
-            memo_hits = obs.metrics().counter(
-                "predictor_memo_hits_total",
-                "Inference-memo hits that skipped recomputation",
-                labels=("entry",),
-            )
-            assert memo_hits.labels(entry="system_state").value == 2.0
-            assert memo_hits.labels(entry="window").value == 2.0
+            assert "predictor_memo_hits_total" not in obs.metrics()
         finally:
             obs.disable()
 

@@ -78,8 +78,9 @@ class TestJournal:
         assert by_node["n4"].hops[-1].sim_time == 713.0
 
     def test_repeated_placement_attempts_stay_on_one_journey(self):
-        # deploy_anywhere records a placement hop per attempted node;
-        # outage fallback must not fork sibling journeys.
+        # A placement hop is recorded per attempt (the round-robin fleet
+        # replay retries the other pool); a retry must not fork sibling
+        # journeys.
         journal = FleetJournal()
         journal.hop("a", 0.0, "queued", 0.0)
         journal.hop("a", 0.0, "placement", 0.0, node="n0", mode="remote")

@@ -29,15 +29,6 @@ def engine_report(idle=50_000.0, congested=8_000.0, d1=200.0, d64=300.0):
     }
 
 
-def predictor_report(speedup=2.5, fast_s=0.02, candidates=8, lstm=1.2):
-    return {
-        "kind": "predictor",
-        "candidates": candidates,
-        "tick": {"speedup": speedup, "fast_s": fast_s},
-        "lstm": {"speedup": lstm},
-    }
-
-
 class TestExtraction:
     def test_engine_metrics(self):
         metrics = extract_metrics(engine_report())
@@ -45,10 +36,10 @@ class TestExtraction:
         assert metrics["decisions_per_sec[64]"] == 300.0
 
     def test_predictor_metrics(self):
-        metrics = extract_metrics(predictor_report())
-        assert metrics["tick_speedup"] == 2.5
-        assert metrics["tick_candidates_per_sec"] == pytest.approx(8 / 0.02)
-        assert metrics["lstm_inference_speedup"] == 1.2
+        """The LSTM's inference-mode speedup is read from an engine report."""
+        report = {**engine_report(), "lstm": {"speedup": 1.2}}
+        assert extract_metrics(report)["lstm_inference_speedup"] == 1.2
+        assert "lstm_inference_speedup" not in extract_metrics(engine_report())
 
     def test_unrecognized_report_raises(self):
         with pytest.raises(ValueError, match="unrecognized"):
@@ -117,7 +108,8 @@ class TestVerdicts:
         }
 
     def test_no_shared_metrics_is_a_failure(self):
-        result = compare_reports(engine_report(), predictor_report())
+        fleet_only = {"kind": "engine", "fleet": {"8": {"fleet_ticks_per_sec": 4e3}}}
+        result = compare_reports(engine_report(), fleet_only)
         assert not result.ok
         assert "no comparable metrics" in result.format()
 
@@ -132,9 +124,7 @@ class TestReportFiles:
         path.write_text(json.dumps(engine_report()))
         assert load_report(path) == engine_report()
 
-    @pytest.mark.parametrize(
-        "name", ["BENCH_engine.json", "BENCH_predictor.json"]
-    )
+    @pytest.mark.parametrize("name", ["BENCH_engine.json"])
     def test_committed_baselines_pass_against_themselves(self, name):
         baseline = load_report(BASELINES / name)
         result = compare_reports(baseline, baseline)

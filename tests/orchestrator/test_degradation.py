@@ -28,9 +28,6 @@ class StubPredictor:
     def has_signature(self, profile):
         return True
 
-    def attach(self, engine):
-        pass
-
     def predict_both_modes(self, profile, history, deadline_s=None):
         self.calls += 1
         if self.behavior == "timeout":

@@ -189,14 +189,13 @@ class TestAdriasSpecialCases:
         assert AdriasPolicy(StubPredictor({}), beta=0.8).name == "adrias(b=0.8)"
 
 
-class TestAdriasMemoAttachment:
-    def test_decide_attaches_tick_invalidation(self, engine):
+class TestAdriasTickHooks:
+    def test_decisions_register_no_tick_hook(self, engine):
+        """Ŝ is computed afresh per decision, so there is no per-tick
+        state for the engine to invalidate."""
         stub = StubPredictor({"gmm": {MemoryMode.LOCAL: 100.0,
                                       MemoryMode.REMOTE: 200.0}})
         policy = AdriasPolicy(stub, beta=0.7)
         policy.decide(spark_profile("gmm"), engine)
-        policy.decide(spark_profile("gmm"), engine)  # attach is idempotent
-        assert engine._tick_hooks == [stub._on_engine_tick]
-        stub._memo_key = ("poisoned",)
-        engine.tick()
-        assert stub._memo_key is None  # the tick wiped the memo
+        policy.decide(spark_profile("gmm"), engine)
+        assert engine._tick_hooks == []

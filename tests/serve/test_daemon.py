@@ -1,6 +1,7 @@
 """Orchestrator daemon: admission ops, watchdog, checkpoint round-trip."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -256,6 +257,43 @@ class TestSafetyIntegration:
         assert daemon.counters["downgraded"] == len(downgraded)
         assert daemon.counters["vetoed"] == 0
         assert all(r["ok"] for r in responses)
+
+    @pytest.mark.parametrize("action", ["veto", "downgrade"])
+    def test_override_joins_only_what_was_placed(self, clock, action):
+        """A veto or downgrade supersedes the scheduler's plan row: no row
+        stays armed, and each finished deployment joins exactly one row —
+        a downgraded one its own safety-downgrade row."""
+        obs.enable()
+        envelope = SafetyEnvelope(
+            (SafetyConstraint("max_concurrent_remote", 1, action=action),)
+        )
+        daemon = make_daemon(clock, envelope=envelope)
+        responses = [
+            daemon.handle_line(json.dumps({"op": "deploy", "app": "redis"}))
+            for _ in range(8)
+        ]
+        daemon.handle_line(json.dumps({"op": "tick", "n": 600}))
+        engines = daemon.fleet.engines
+        assert not any(e.running or e.queued_remote for e in engines)
+        for engine in engines:
+            assert not getattr(engine, "_obs_audit_pending", {}), engine.node_label
+        finished = Counter(
+            (e.node_label, record.app_id)
+            for e in engines for record in e.trace.records
+        )
+        joined = [row for row in obs.audit().records if row.joined]
+        placed = [(row.node, row.outcome["app_id"]) for row in joined]
+        assert Counter(placed) == finished
+        by_placement = dict(zip(placed, joined))
+        downgraded = [
+            daemon.ledger[r["id"]] for r in responses if r.get("mode") == "local"
+        ]
+        assert len(downgraded) == daemon.counters["downgraded"]
+        assert bool(downgraded) == (action == "downgrade")
+        for entry in downgraded:
+            row = by_placement[(entry["node"], entry["app_id"])]
+            assert row.reason == "safety-downgrade:max_concurrent_remote"
+            assert row.outcome["fallback"] is False
 
 
 class TestFaultPlan:
