@@ -9,7 +9,6 @@ Usage::
     python -m repro run fig16 --obs-out out/   # + observability dump
     python -m repro obs out/                   # summarize a dump
     python -m repro obs profile                # ranked phase-cost table
-    python -m repro obs perfcheck --headroom 3 # benchmark regression gate
     python -m repro faults sample --out plan.json   # seeded fault plan
     python -m repro run fig16 --faults plan.json    # inject it
     python -m repro train --ckpt fit.ckpt           # crash-safe fit
@@ -299,16 +298,14 @@ def main(argv: list[str] | None = None) -> int:
     obs_cmd = sub.add_parser(
         "obs",
         help="summarize an observability dump, watch a stream, "
-             "profile phases, or gate benchmark regressions",
+             "or profile phases",
     )
     obs_cmd.add_argument(
         "target", nargs="+",
         help="directory written by --obs-out; 'watch STREAM.jsonl' to "
              "render the live dashboard; 'report STREAM.jsonl' to print "
              "an offline stream summary; 'profile' to print a ranked "
-             "phase-cost table of a congested Adrias scenario; "
-             "'perfcheck' to gate a benchmark report against the "
-             "committed baseline",
+             "phase-cost table of a congested Adrias scenario",
     )
     obs_cmd.add_argument(
         "--once", action="store_true",
@@ -351,32 +348,6 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", metavar="TRACE.json", default=None,
         help="profile: also dump the per-phase timeline as a Chrome "
              "trace-event file (chrome://tracing / Perfetto)",
-    )
-    obs_cmd.add_argument(
-        "--baseline", metavar="PATH",
-        default="benchmarks/baselines/BENCH_engine.json",
-        help="perfcheck: committed baseline report "
-             "(default: benchmarks/baselines/BENCH_engine.json)",
-    )
-    obs_cmd.add_argument(
-        "--current", metavar="PATH", default=None,
-        help="perfcheck: freshly measured report; when omitted a fresh "
-             "engine bench is run in-process (smoke scale unless --full)",
-    )
-    obs_cmd.add_argument(
-        "--tolerance", type=float, default=0.2,
-        help="perfcheck: relative regression allowed per metric "
-             "(default: 0.2)",
-    )
-    obs_cmd.add_argument(
-        "--headroom", type=float, default=1.0,
-        help="perfcheck: extra baseline-floor divisor for slower "
-             "machines, e.g. 3 on shared CI runners (default: 1)",
-    )
-    obs_cmd.add_argument(
-        "--full", action="store_true",
-        help="perfcheck: run the full (non-smoke) bench when measuring "
-             "in-process",
     )
     serve_cmd = sub.add_parser(
         "serve",
@@ -753,7 +724,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "obs":
         if args.target[0] == "profile":
-            from repro.obs.perf.bench import profile_run
+            from repro.obs.perf.profile import profile_run
 
             tracer = None
             if args.trace is not None:
@@ -775,32 +746,6 @@ def main(argv: list[str] | None = None) -> int:
                     handle.write(tracer.to_json())
                 print(f"chrome trace: {args.trace}")
             return 0
-        if args.target[0] == "perfcheck":
-            from repro.obs.perf import gate
-
-            try:
-                baseline = gate.load_report(args.baseline)
-                if args.current is not None:
-                    current = gate.load_report(args.current)
-                else:
-                    from repro.obs.perf.bench import run_engine_bench
-
-                    print("measuring fresh engine bench "
-                          + ("(full)..." if args.full else "(smoke)..."))
-                    current = run_engine_bench(smoke=not args.full)
-            except (FileNotFoundError, ValueError) as error:
-                print(str(error), file=sys.stderr)
-                return 2
-            try:
-                result = gate.compare_reports(
-                    baseline, current,
-                    tolerance=args.tolerance, headroom=args.headroom,
-                )
-            except ValueError as error:
-                print(str(error), file=sys.stderr)
-                return 2
-            print(result.format())
-            return 0 if result.ok else 1
         if args.target[0] == "watch":
             if len(args.target) != 2:
                 print("usage: python -m repro obs watch STREAM.jsonl",

@@ -216,13 +216,20 @@ class LiveSession:
             return
         self.exporter.emit({"t": "pool", **fields})
 
+    def note_window(self, engine) -> None:
+        """Attribute the next Ŝ forecasts to ``engine``, whose window a
+        decision is about to read (a fleet ticks its nodes in turn, so
+        the engine that ticked last is not the one deciding)."""
+        self._current = weakref.ref(engine)
+
     def note_state_forecast(
         self, s_hat: np.ndarray, horizon_s: float
     ) -> None:
         """Register one Ŝ forecast for joining once its horizon elapses.
 
-        The forecast is attributed to the engine that most recently
-        ticked (or attached) — the one whose Watcher window produced it.
+        The forecast is attributed to the engine of the last
+        :meth:`note_window`, or else to the engine that most recently
+        ticked (or attached).
         """
         engine = self._current()
         if engine is None:

@@ -90,8 +90,7 @@ def phase_table(
     """Ranked (by total time) table of a :meth:`PhaseAccounting.snapshot`.
 
     Shares are of the leaf total; envelopes show a zero share.  Serves
-    ``repro obs profile``, the bench report and the ``repro obs watch``
-    panel alike.
+    ``repro obs profile`` and the ``repro obs watch`` panel alike.
     """
     rows = sorted(phases.items(), key=lambda item: -item[1]["total_s"])
     leaf_total = sum(

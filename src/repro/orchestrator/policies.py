@@ -377,6 +377,9 @@ class AdriasPolicy(_BasePolicy):
         self, profile: WorkloadProfile, engine: ClusterEngine
     ) -> dict[MemoryMode, float]:
         """One guarded inference; raises :class:`InferenceFault` on failure."""
+        live = obs.live_session()
+        if live is not None:
+            live.note_window(engine)  # the Ŝ forecast joins this engine
         estimates = self.predictor.predict_both_modes(
             profile, self._history(engine), deadline_s=self.decision_deadline_s
         )

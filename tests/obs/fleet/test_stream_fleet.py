@@ -1,12 +1,14 @@
 """Fleet-aware live stream: records, SLO rollups, determinism, purity."""
 
 from repro import obs
-from repro.cluster.fleet import LeastLoadedPlacement
+from repro.cluster.fleet import ClusterFleet, FleetDecision, LeastLoadedPlacement
 from repro.cluster.fleet_scenario import FleetScenarioConfig, run_fleet_scenario
 from repro.cluster.scenario import ScenarioConfig
 from repro.hardware.pool import RemotePoolConfig
 from repro.obs.live.watch import read_stream
-from repro.orchestrator.policies import InterferenceThresholdPolicy
+from repro.obs.perf.profile import fabricate_predictor
+from repro.orchestrator.policies import AdriasPolicy, InterferenceThresholdPolicy
+from repro.workloads import MemoryMode, spark_profile
 from tests.cluster.test_fleet_scenario import assert_fleets_identical
 
 SCENARIO = ScenarioConfig(duration_s=400.0, spawn_interval=(15.0, 30.0), seed=3)
@@ -95,6 +97,24 @@ class TestFleetStreamRecords:
         end = records[-1]
         assert end["t"] == "end"
         assert end["fleet_slo"]["total"] > 0
+
+
+class TestFleetForecastJoin:
+    def test_forecast_joins_the_node_whose_window_it_read(self, tmp_path):
+        """n1 ticks last in every fleet tick, but an Adrias decision on
+        n0 reads n0's window, so its Ŝ forecast joins n0's stream."""
+        live = obs.enable_live(tmp_path / "live", flush_every=1)
+        fleet = ClusterFleet(n_nodes=2)
+        fleet.deploy(spark_profile("sort"), FleetDecision(1, MemoryMode.LOCAL))
+        fleet.run_for(130.0)
+        placement = LeastLoadedPlacement(
+            AdriasPolicy(fabricate_predictor(lstm_hidden=4))
+        )
+        assert placement(spark_profile("gmm"), fleet).node_index == 0
+        fleet.run_for(130.0)
+        streams = live.drift.snapshot()
+        assert streams["system_state@n0"]["n"] == 1
+        assert "system_state@n1" not in streams
 
 
 class TestFleetSloMetrics:

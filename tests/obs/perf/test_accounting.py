@@ -24,7 +24,7 @@ from repro.obs.perf import (
     phase_table,
     phases_session,
 )
-from repro.obs.perf.bench import congested_adrias
+from repro.obs.perf.profile import congested_adrias
 from repro.obs.tracing import SpanTracer
 from repro.orchestrator.policies import AllLocalPolicy, RandomPolicy
 from repro.workloads import MemoryMode, spark_profile

@@ -1,28 +1,8 @@
-"""End-to-end: ``repro obs profile`` and ``repro obs perfcheck``."""
+"""End-to-end: ``repro obs profile``."""
 
 import json
-from pathlib import Path
-
-import pytest
 
 from repro.__main__ import main
-
-BASELINES = Path(__file__).resolve().parents[3] / "benchmarks" / "baselines"
-
-
-def engine_report(congested=8_000.0):
-    return {
-        "kind": "engine",
-        "scales": {"congested": {"ticks_per_sec": congested}},
-        "decisions": {"1": {"decisions_per_sec": 200.0}},
-    }
-
-
-@pytest.fixture()
-def baseline_path(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(engine_report()))
-    return path
 
 
 class TestProfileCommand:
@@ -50,59 +30,3 @@ class TestProfileCommand:
 
         assert main(["obs", "profile", "--duration", "30", "--hidden", "4"]) == 0
         assert accounting() is None
-
-
-class TestPerfcheckCommand:
-    def test_pass_exits_zero(self, baseline_path, tmp_path, capsys):
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps(engine_report()))
-        code = main([
-            "obs", "perfcheck",
-            "--baseline", str(baseline_path), "--current", str(current),
-        ])
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_regression_exits_nonzero(self, baseline_path, tmp_path, capsys):
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps(engine_report(congested=1_000.0)))
-        code = main([
-            "obs", "perfcheck",
-            "--baseline", str(baseline_path), "--current", str(current),
-        ])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        assert "FAIL" in out
-
-    def test_headroom_rescues_slow_machine(self, baseline_path, tmp_path):
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps(engine_report(congested=3_000.0)))
-        args = ["obs", "perfcheck", "--baseline", str(baseline_path),
-                "--current", str(current)]
-        assert main(args) == 1
-        assert main(args + ["--headroom", "4"]) == 0
-
-    def test_missing_baseline_is_usage_error(self, tmp_path, capsys):
-        code = main([
-            "obs", "perfcheck", "--baseline", str(tmp_path / "nope.json"),
-            "--current", str(tmp_path / "nope.json"),
-        ])
-        assert code == 2
-        assert "no benchmark report" in capsys.readouterr().err
-
-    def test_invalid_tolerance_is_usage_error(self, baseline_path, capsys):
-        code = main([
-            "obs", "perfcheck", "--baseline", str(baseline_path),
-            "--current", str(baseline_path), "--tolerance", "1.5",
-        ])
-        assert code == 2
-        assert "tolerance" in capsys.readouterr().err
-
-    def test_committed_baseline_gates_itself(self, capsys):
-        baseline = str(BASELINES / "BENCH_engine.json")
-        code = main([
-            "obs", "perfcheck", "--baseline", baseline, "--current", baseline,
-        ])
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out

@@ -18,7 +18,7 @@ from repro.models.performance import PerformancePredictor
 from repro.models.predictor import Predictor
 from repro.models.system_state import SystemStatePredictor
 from repro.nn.recurrent import LSTM
-from repro.obs.perf.bench import congested_adrias
+from repro.obs.perf.profile import congested_adrias
 
 
 @pytest.fixture(scope="module")
