@@ -62,7 +62,7 @@ def link_saturation_sweep(
                 delivered_gbps=pressure.link.delivered_gbps,
                 latency_cycles=pressure.link.latency_cycles,
                 backpressure=pressure.link.backpressure,
-                counters=testbed.sample_counters(pressure),
+                counters=PerfCounters.from_array(testbed.sample_counters(pressure)),
             )
         )
     return points

@@ -84,30 +84,39 @@ class Deployment:
 
     # -- simulation -----------------------------------------------------
     def advance(self, now: float, dt: float, pressure: SystemPressure) -> None:
-        """Advance the deployment by one tick ending at time ``now``."""
-        if not self.running:
+        """Advance the deployment by one tick ending at time ``now``.
+
+        The interference model runs once: the tail-latency model of a
+        latency-critical app reuses this tick's slowdown.  The engine
+        calls this for every app on every tick, so it reads
+        ``finish_time`` and ``profile.kind`` rather than the
+        :attr:`running` and kind properties.
+        """
+        if self.finish_time is not None:
             raise RuntimeError(f"deployment {self.app_id} already finished")
         if dt <= 0:
             raise ValueError("dt must be positive")
-        slowdown = self.profile.slowdown(pressure, self.mode)
+        profile = self.profile
+        slowdown = profile.slowdown(pressure, self.mode)
         self._slowdown_sum += slowdown
         self._slowdown_ticks += 1
         if self.mode is MemoryMode.REMOTE:
             # Fair share of the delivered link throughput.
             offered = pressure.total_demand.remote_bw_gbps
             if offered > 0:
-                share = self.profile.remote_bw_gbps / offered
+                share = profile.remote_bw_gbps / offered
                 # Gbps x s / 8 bits-per-byte = gigabytes moved this tick.
                 self.link_traffic_gb += share * pressure.link.delivered_gbps * dt / 8.0
 
-        if self.is_interference:
-            duration = self.duration_s or self.profile.nominal_runtime_s
+        kind = profile.kind
+        if kind is WorkloadKind.INTERFERENCE:
+            duration = self.duration_s or profile.nominal_runtime_s
             if now - self.arrival_time >= duration:
                 self._finish(now)
             return
 
-        if self.is_latency_critical:
-            sample = self._latency_model.sample(pressure, self.mode)
+        if kind is WorkloadKind.LATENCY_CRITICAL:
+            sample = self._latency_model.sample_at(slowdown)
             self.p99_samples.append(sample.p99_ms)
             self.p999_samples.append(sample.p999_ms)
             self.served_ops += sample.served_ops * dt
@@ -117,7 +126,7 @@ class Deployment:
 
         # Best-effort: earn nominal-equivalent progress.
         self.progress_s += dt / slowdown
-        if self.progress_s >= self.profile.nominal_runtime_s:
+        if self.progress_s >= profile.nominal_runtime_s:
             self._finish(now)
 
     def complete_early(self) -> None:

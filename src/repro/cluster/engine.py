@@ -24,7 +24,7 @@ import numpy as np
 from repro import obs
 from repro.cluster.deployment import Deployment
 from repro.cluster.trace import Trace
-from repro.hardware.counters import METRIC_NAMES, PerfCounters
+from repro.hardware.counters import METRIC_NAMES
 from repro.hardware.testbed import ResourceDemand, SystemPressure, Testbed
 from repro.obs.perf.accounting import accounting as perf_accounting
 from repro.workloads.base import MemoryMode, WorkloadProfile
@@ -386,7 +386,7 @@ class ClusterEngine:
         # Walk a snapshot: an on_finish hook may place new work here.
         for deployment in tuple(self.running):
             deployment.advance(self.now, self.dt, pressure)
-            if not deployment.running:
+            if deployment.finish_time is not None:
                 finished += 1
                 record = deployment.record()
                 self.trace.add_record(record)
@@ -469,11 +469,7 @@ class ClusterEngine:
         health manager drains it into the failover queue.
         """
         self.now += self.dt
-        self.trace.append(
-            self.now,
-            PerfCounters.from_array(np.full(len(METRIC_NAMES), np.nan)),
-            0,
-        )
+        self.trace.append(self.now, np.full(len(METRIC_NAMES), np.nan), 0)
         for hook in tuple(self._tick_hooks):
             hook(self)
         if obs.enabled():

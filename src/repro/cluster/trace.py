@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.deployment import DeploymentRecord
-from repro.hardware.counters import METRIC_NAMES, PerfCounters
+from repro.hardware.counters import METRIC_NAMES, as_counter_row
 from repro.workloads.base import MemoryMode, WorkloadKind
 
 __all__ = ["Trace"]
@@ -28,11 +28,15 @@ class Trace:
     concurrency: list[int] = field(default_factory=list)
     records: list[DeploymentRecord] = field(default_factory=list)
 
-    def append(self, time: float, counters: PerfCounters, n_running: int) -> None:
+    def append(self, time: float, row: np.ndarray, n_running: int) -> None:
+        """Record one tick: its counter row (see
+        :func:`repro.hardware.counters.as_counter_row`) and how many
+        deployments run.  The trace keeps ``row`` itself, not a copy."""
         if self.times and time <= self.times[-1]:
             raise ValueError("trace timestamps must be strictly increasing")
+        row = as_counter_row(row)
         self.times.append(time)
-        self._counter_rows.append(counters.as_array())
+        self._counter_rows.append(row)
         self.concurrency.append(n_running)
 
     def add_record(self, record: DeploymentRecord) -> None:

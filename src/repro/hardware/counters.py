@@ -3,7 +3,10 @@
 The Watcher of §V-A monitors seven events; this module defines their
 canonical names/ordering (used by models, datasets and the Table I
 bench) and synthesizes per-second counter values from the resolved
-hardware state.
+hardware state.  A sample travels as a *counter row*: a float64 array
+of shape ``(len(METRIC_NAMES),)`` in ``METRIC_NAMES`` order, which the
+trace and the Watcher's store keep as it is.  :class:`PerfCounters` is
+the named view of a row, for callers that read events by name.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-__all__ = ["METRIC_NAMES", "PerfCounters", "CounterSynthesizer"]
+__all__ = ["METRIC_NAMES", "PerfCounters", "CounterSynthesizer", "as_counter_row"]
 
 #: Canonical metric ordering (matches Table I of the paper).
 METRIC_NAMES: tuple[str, ...] = (
@@ -26,9 +29,22 @@ METRIC_NAMES: tuple[str, ...] = (
 )
 
 
+def as_counter_row(values) -> np.ndarray:
+    """``values`` as a counter row; raises ``ValueError`` for any other shape.
+
+    A float64 array of the right shape is returned as it is, not copied.
+    """
+    row = np.asarray(values, dtype=np.float64)
+    if row.shape != (len(METRIC_NAMES),):
+        raise ValueError(
+            f"expected {len(METRIC_NAMES)} metric values, got {row.shape}"
+        )
+    return row
+
+
 @dataclass(frozen=True)
 class PerfCounters:
-    """One sample of the seven monitored events (per-second rates).
+    """Named view of one counter row (per-second rates).
 
     Field order matches :data:`METRIC_NAMES`.
     """
@@ -46,12 +62,7 @@ class PerfCounters:
 
     @classmethod
     def from_array(cls, values: np.ndarray) -> "PerfCounters":
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (len(METRIC_NAMES),):
-            raise ValueError(
-                f"expected {len(METRIC_NAMES)} metric values, got {values.shape}"
-            )
-        return cls(*(float(v) for v in values))
+        return cls(*(float(v) for v in as_counter_row(values)))
 
     @classmethod
     def zeros(cls) -> "PerfCounters":
@@ -103,8 +114,8 @@ class CounterSynthesizer:
         local_bw_gbps: float,
         remote_delivered_gbps: float,
         link_latency_cycles: float,
-    ) -> PerfCounters:
-        """Produce one per-second counter sample."""
+    ) -> np.ndarray:
+        """Produce one per-second counter sample as a counter row."""
         if min(llc_access_gbps, local_bw_gbps, remote_delivered_gbps) < 0:
             raise ValueError("traffic inputs cannot be negative")
         llc_loads = llc_access_gbps * 1e9 / 8.0 / self.line_bytes
@@ -125,9 +136,10 @@ class CounterSynthesizer:
 
         values = np.array(
             [llc_loads, llc_misses, mem_loads, mem_stores, rmt_tx, rmt_rx,
-             link_latency_cycles]
+             link_latency_cycles],
+            dtype=np.float64,
         )
         if self.noise > 0:
             values = values * self._rng.normal(1.0, self.noise, size=values.shape)
             values = np.maximum(values, 0.0)
-        return PerfCounters.from_array(values)
+        return values

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.hardware.cache import CacheState, SharedCache
 from repro.hardware.config import TestbedConfig
-from repro.hardware.counters import CounterSynthesizer, PerfCounters
+from repro.hardware.counters import CounterSynthesizer
 from repro.hardware.link import LinkState, ThymesisFlowLink
 from repro.hardware.memory import LocalMemory, MemoryState
 
@@ -85,9 +87,22 @@ class ResourceDemand:
         return acc
 
 
+def _term():
+    """A pressure term: derived in ``__post_init__``, not passed in."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class SystemPressure:
-    """Resolved contention state of every shared resource for one tick."""
+    """Resolved contention state of every shared resource for one tick.
+
+    Besides the resolved states it carries the seven pressure terms
+    :meth:`repro.workloads.base.WorkloadProfile.slowdown` reads, so a
+    tick that advances n co-located apps derives them once instead of n
+    times.  They are set eagerly when the pressure is built: a
+    ``functools.cached_property`` takes a lock on each first read under
+    Python 3.11, which costs more than the arithmetic it would defer.
+    """
 
     cpu_utilization: float       # total threads / logical cores
     l2: CacheState
@@ -97,11 +112,41 @@ class SystemPressure:
     #: Aggregate demand that produced this state (kept for counter
     #: synthesis and traffic accounting).
     total_demand: ResourceDemand = field(default_factory=ResourceDemand)
+    #: Excess CPU demand beyond the available cores (>= 0).
+    cpu_oversubscription: float = _term()
+    #: L2 and LLC miss inflation.
+    l2_inflation: float = _term()
+    llc_inflation: float = _term()
+    #: Local DRAM access-time stretch beyond 1 (>= 0).
+    queuing_excess: float = _term()
+    #: Link back-pressure stretch beyond 1 (>= 0).
+    backpressure_excess: float = _term()
+    #: Fractional link latency increase over the unloaded channel (>= 0).
+    latency_ratio: float = _term()
+    #: Cost multiplier of an LLC miss served over the link:
+    #: 1 + 0.5·min(1, link utilization).
+    remote_llc_factor: float = _term()
 
-    @property
-    def cpu_oversubscription(self) -> float:
-        """Excess CPU demand beyond the available cores (>= 0)."""
-        return max(0.0, self.cpu_utilization - 1.0)
+    def __post_init__(self) -> None:
+        # Every resolve builds one pressure, node-ranking reads included,
+        # so this stays cheap: the terms go straight into the instance
+        # dict (the class is frozen), and each max(0, x) / min(1, x) is
+        # a conditional, which returns the same float as the builtin.
+        link = self.link
+        over = self.cpu_utilization - 1.0
+        # LinkState.latency_ratio, without the property call.
+        ratio = link.latency_cycles / link.base_latency_cycles - 1.0
+        utilization = link.utilization
+        terms = self.__dict__
+        terms["cpu_oversubscription"] = over if over > 0.0 else 0.0
+        terms["l2_inflation"] = self.l2.miss_inflation
+        terms["llc_inflation"] = self.llc.miss_inflation
+        terms["queuing_excess"] = self.memory.queuing_factor - 1.0
+        terms["backpressure_excess"] = link.backpressure - 1.0
+        terms["latency_ratio"] = ratio if ratio > 0.0 else 0.0
+        terms["remote_llc_factor"] = 1.0 + 0.5 * (
+            utilization if utilization < 1.0 else 1.0
+        )
 
 
 class Testbed:
@@ -161,8 +206,9 @@ class Testbed:
             total_demand=total,
         )
 
-    def sample_counters(self, pressure: SystemPressure) -> PerfCounters:
-        """Synthesize the Watcher's seven events from resolved pressure."""
+    def sample_counters(self, pressure: SystemPressure) -> np.ndarray:
+        """Synthesize the Watcher's seven events from resolved pressure,
+        as one float64 row in ``METRIC_NAMES`` order."""
         return self.counters.synthesize(
             llc_access_gbps=pressure.total_demand.llc_access_gbps,
             miss_inflation=pressure.llc.miss_inflation,

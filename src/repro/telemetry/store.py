@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hardware.counters import METRIC_NAMES, PerfCounters
+from repro.hardware.counters import METRIC_NAMES, as_counter_row
 
 __all__ = ["MetricStore"]
 
@@ -35,10 +35,11 @@ class MetricStore:
     def full(self) -> bool:
         return self._size == self.capacity
 
-    def push(self, time: float, counters: PerfCounters) -> None:
+    def push(self, time: float, row: np.ndarray) -> None:
+        """Copy one counter row into the ring."""
         if self._size > 0 and time <= self.latest_time:
             raise ValueError("samples must arrive in increasing time order")
-        self._data[self._head] = counters.as_array()
+        self._data[self._head] = as_counter_row(row)
         self._times[self._head] = time
         self._head = (self._head + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)

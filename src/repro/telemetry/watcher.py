@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-import numpy as _np
-
 from repro import obs
 from repro.cluster.engine import ClusterEngine
-from repro.hardware.counters import PerfCounters
 from repro.hardware.testbed import SystemPressure
 from repro.telemetry.store import MetricStore
 
@@ -40,18 +37,24 @@ class Watcher:
         self.dt = dt
         self.store = MetricStore(capacity=capacity)
         #: Last fully-finite view of each metric (forward-fill source).
-        self._last_good: _np.ndarray | None = None
+        self._last_good: np.ndarray | None = None
         #: Total metric values imputed by this watcher.
         self.imputed_values = 0
 
-    def observe(self, time: float, counters: PerfCounters) -> None:
-        """Record one counter sample, imputing any NaN gaps."""
-        values = counters.as_array()
-        gaps = _np.isnan(values)
+    def observe(self, time: float, row: np.ndarray) -> None:
+        """Record one counter row, imputing any NaN gaps.
+
+        ``row`` is only read: the store copies it into its ring, and a
+        row without gaps stays the forward-fill source, so the caller
+        must not write it afterwards (a trace row is final once its
+        tick's hooks have run).
+        """
+        gaps = np.isnan(row)
         if gaps.any():
-            fill = self._last_good if self._last_good is not None else _np.zeros_like(values)
-            values = _np.where(gaps, fill, values)
-            counters = PerfCounters.from_array(values)
+            fill = self._last_good
+            if fill is None:
+                fill = np.zeros_like(row)
+            row = np.where(gaps, fill, row)
             n = int(gaps.sum())
             self.imputed_values += n
             if obs.enabled():
@@ -59,8 +62,8 @@ class Watcher:
                     "telemetry_imputed_values_total",
                     "NaN counter values forward-filled by Watchers",
                 ).inc(n)
-        self._last_good = values
-        self.store.push(time, counters)
+        self._last_good = row
+        self.store.push(time, row)
 
     def observe_pressure(
         self, engine: ClusterEngine, pressure: SystemPressure
@@ -127,9 +130,9 @@ class Watcher:
             # rather than re-synthesizing (which would re-draw noise).
             # Read the raw row list: the ``metrics`` property re-stacks
             # the whole history (O(T) per tick).
-            counters = PerfCounters.from_array(engine.trace._counter_rows[-1])
+            row = engine.trace._counter_rows[-1]
             for watcher in observers:
-                watcher.observe(engine.now, counters)
+                watcher.observe(engine.now, row)
             return pressure
 
         tick_and_observe._is_tick_dispatcher = True

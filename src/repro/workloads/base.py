@@ -174,26 +174,27 @@ class WorkloadProfile:
         where ``link_penalty`` combines back-pressure stretch and the
         latency ratio of the channel.  The stacking term reproduces R7;
         the back-pressure term reproduces R5 (the performance chasm once
-        the channel saturates).
+        the channel saturates).  The pressure terms (``over``, ``infl``,
+        ``queue - 1``, ...) are read from the pressure, which derived
+        them once for every app it slows.
         """
         sens = self.sensitivity
         c_cpu = sens.cpu * pressure.cpu_oversubscription
-        c_l2 = sens.l2 * pressure.l2.miss_inflation
-        c_llc = sens.llc * pressure.llc.miss_inflation
+        c_l2 = sens.l2 * pressure.l2_inflation
+        c_llc = sens.llc * pressure.llc_inflation
 
         if mode is MemoryMode.LOCAL:
-            c_mem = sens.membw * (pressure.memory.queuing_factor - 1.0)
+            c_mem = sens.membw * pressure.queuing_excess
             return 1.0 + c_cpu + c_l2 + c_llc + c_mem
 
         amplify = 1.0 + self.stacking
-        link = pressure.link
         link_penalty = sens.link * (
-            self.backpressure_weight * (link.backpressure - 1.0)
-            + self.latency_weight * link.latency_ratio
+            self.backpressure_weight * pressure.backpressure_excess
+            + self.latency_weight * pressure.latency_ratio
         )
         # LLC misses on remote mode hit the slow link rather than DRAM,
         # so cache contention also costs more there (part of R5/R6).
-        remote_llc = c_llc * (1.0 + 0.5 * min(1.0, link.utilization))
+        remote_llc = c_llc * pressure.remote_llc_factor
         return self.remote_slowdown * (
             1.0 + amplify * (c_cpu + c_l2) + remote_llc + link_penalty
         )

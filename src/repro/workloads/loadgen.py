@@ -89,18 +89,25 @@ class TailLatencyModel:
         ``load_scale`` scales the offered load relative to the nominal
         memtier configuration (1.0 = the paper's constant load).
         """
+        return self._rho(self.profile.slowdown(pressure, mode), load_scale)
+
+    def _rho(self, stretch: float, load_scale: float) -> float:
         if load_scale < 0:
             raise ValueError("load_scale cannot be negative")
-        stretch = self.profile.slowdown(pressure, mode)
         return min(_RHO_CEILING, self.profile.nominal_rho * load_scale * stretch)
 
     def sample(
         self, pressure: SystemPressure, mode: MemoryMode, load_scale: float = 1.0
     ) -> LatencySample:
         """Tail latencies and throughput at one operating point."""
+        return self.sample_at(self.profile.slowdown(pressure, mode), load_scale)
+
+    def sample_at(self, stretch: float, load_scale: float = 1.0) -> LatencySample:
+        """:meth:`sample` at a known service stretch: the profile's
+        slowdown under the operating point's pressure, which a
+        deployment's advance has already computed for its tick."""
         profile = self.profile
-        stretch = profile.slowdown(pressure, mode)
-        rho = self.utilization(pressure, mode, load_scale)
+        rho = self._rho(stretch, load_scale)
         # Normalize the M/M/1-style tail amplification to 1.0 at the
         # nominal operating point so base_p99_ms is the isolated value.
         amplification = (1.0 - profile.nominal_rho) / (1.0 - rho)

@@ -5,7 +5,9 @@ touches: a congested single-node scenario, and perfbench's fleet-rack
 shape (eight pooled nodes under two-level placement), shortened.  The
 counts are deterministic for the seed, so each relation is asserted with
 ``==``: a tick that walks finished work, a sum over the running set
-rebuilt on a read, or a node ranked twice each break one.
+rebuilt on a read, a slowdown evaluated twice for one app, a counter
+row converted on its way into the trace, or a node ranked twice each
+break one.
 """
 
 import collections
@@ -20,10 +22,11 @@ from repro.cluster.fleet_scenario import FleetScenarioConfig, run_fleet_scenario
 from repro.cluster.scenario import ScenarioConfig, run_scenario
 from repro.experiments.fleet_scaling import FABRIC_OVERSUB
 from repro.hardware.config import TestbedConfig
+from repro.hardware.counters import PerfCounters
 from repro.hardware.pool import PoolRegime, RemotePoolConfig
 from repro.hardware.testbed import ResourceDemand, Testbed
 from repro.orchestrator.policies import InterferenceThresholdPolicy
-from repro.workloads.base import WorkloadKind
+from repro.workloads.base import WorkloadKind, WorkloadProfile
 
 FLEET_NODES = 8
 
@@ -73,6 +76,9 @@ def count_work(run):
     patch.setattr(Deployment, "running", property(running))
     count(Deployment, "advance")
     count(Deployment, "_finish")
+    count(WorkloadProfile, "slowdown")
+    count(PerfCounters, "from_array")
+    count(PerfCounters, "as_array")
     count(ClusterEngine, "__init__")
     count(ClusterEngine, "tick", in_flight)
     count(ClusterEngine, "deploy")
@@ -153,8 +159,16 @@ def test_engine_work_per_tick_and_placement(half, request):
     # One advance per deployment in flight as the tick starts: a finished
     # deployment leaves its engine in the tick it finishes.
     assert advances == counts["in_flight"]
-    # The advance's guard and the tick's finish test, then the record.
-    assert counts["Deployment.running"] == 2 * advances + finishes
+    # One slowdown per advance: a latency-critical app's tail-latency
+    # sample reuses it.
+    assert counts["WorkloadProfile.slowdown"] == advances
+    # The advance's guard and the tick's finish test read finish_time;
+    # only the record's guard reads the property.
+    assert counts["Deployment.running"] == finishes
+    # Counter rows go from the synthesizer into the trace as they are,
+    # with no named view built or unpacked on the way.
+    assert counts["PerfCounters.from_array"] == 0
+    assert counts["PerfCounters.as_array"] == 0
 
 
 def test_fleet_work_per_tick_and_ranking(fleet_run):

@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 
 from repro.cluster import Trace
 from repro.cluster.deployment import DeploymentRecord
-from repro.hardware import METRIC_NAMES, PerfCounters
+from repro.hardware import METRIC_NAMES
 from repro.workloads import MemoryMode, WorkloadKind
 
 
 def make_trace(n_ticks=10, dt=1.0):
     trace = Trace(dt=dt)
     for i in range(n_ticks):
-        counters = PerfCounters.from_array(np.full(len(METRIC_NAMES), float(i)))
-        trace.append((i + 1) * dt, counters, n_running=i % 3)
+        row = np.full(len(METRIC_NAMES), float(i))
+        trace.append((i + 1) * dt, row, n_running=i % 3)
     return trace
 
 
@@ -30,10 +30,29 @@ class TestAppend:
     def test_timestamps_must_increase(self):
         trace = make_trace(3)
         with pytest.raises(ValueError):
-            trace.append(2.0, PerfCounters.zeros(), 0)
+            trace.append(2.0, np.zeros(len(METRIC_NAMES)), 0)
 
     def test_length(self):
         assert len(make_trace(7)) == 7
+
+    @pytest.mark.parametrize("shape", [(), (1,), (len(METRIC_NAMES) + 1,),
+                                       (1, len(METRIC_NAMES))])
+    def test_row_shape_checked(self, shape):
+        trace = make_trace(3)
+        with pytest.raises(ValueError, match="metric values"):
+            trace.append(4.0, np.zeros(shape), 0)
+        # Nothing of the refused tick is kept.
+        assert len(trace) == 3 and len(trace._counter_rows) == 3
+        assert len(trace.concurrency) == 3
+
+    def test_row_stored_as_float64(self):
+        trace = Trace()
+        row = np.arange(len(METRIC_NAMES), dtype=np.float64)
+        trace.append(1.0, row, 0)
+        trace.append(2.0, list(range(len(METRIC_NAMES))), 0)
+        assert trace._counter_rows[0] is row  # kept, not copied
+        assert trace._counter_rows[1].dtype == np.float64
+        assert np.array_equal(trace.metrics, np.vstack([row, row]))
 
 
 class TestMetricAccess:
@@ -136,7 +155,7 @@ class TestReadsTouchOnlyTheirRows:
         for i in range(n_rows):
             values = rng.normal(size=len(METRIC_NAMES))
             values[rng.random(len(METRIC_NAMES)) < 0.05] = np.nan
-            trace.append((i + 1) * dt, PerfCounters.from_array(values), 0)
+            trace.append((i + 1) * dt, values, 0)
         span = (n_rows + 1) * dt
         # End times before the first row, inside and past the trace.
         end_time = data.draw(st.floats(-0.5 * span - 5.0, 1.5 * span + 5.0))

@@ -23,17 +23,27 @@ class TestPerfCounters:
         assert np.allclose(PerfCounters.zeros().as_array(), 0.0)
 
 
+#: Column of each event in a counter row.
+COLUMN = {name: index for index, name in enumerate(METRIC_NAMES)}
+
+
 class TestSynthesizer:
     @pytest.fixture
     def synth(self):
         return CounterSynthesizer(noise=0.0)
 
+    def test_sample_is_a_counter_row(self):
+        for noise in (0.0, 0.1):
+            row = CounterSynthesizer(noise=noise).synthesize(5, 0, 10, 1, 400)
+            assert isinstance(row, np.ndarray)
+            assert row.dtype == np.float64 and row.shape == (len(METRIC_NAMES),)
+
     def test_no_remote_traffic_means_no_flits(self, synth):
-        counters = synth.synthesize(
+        counters = PerfCounters.from_array(synth.synthesize(
             llc_access_gbps=5.0, miss_inflation=0.0,
             local_bw_gbps=10.0, remote_delivered_gbps=0.0,
             link_latency_cycles=350.0,
-        )
+        ))
         assert counters.rmt_tx_flits == 0.0
         assert counters.rmt_rx_flits == 0.0
         assert counters.llc_loads > 0
@@ -41,41 +51,43 @@ class TestSynthesizer:
     def test_miss_rate_rises_with_inflation(self, synth):
         calm = synth.synthesize(5.0, 0.0, 10.0, 0.0, 350.0)
         contended = synth.synthesize(5.0, 1.0, 10.0, 0.0, 350.0)
-        assert contended.llc_misses > calm.llc_misses
-        assert contended.llc_loads == pytest.approx(calm.llc_loads)
+        misses, loads = COLUMN["llc_misses"], COLUMN["llc_loads"]
+        assert contended[misses] > calm[misses]
+        assert contended[loads] == pytest.approx(calm[loads])
 
     def test_miss_rate_capped_below_one(self, synth):
-        counters = synth.synthesize(5.0, 100.0, 10.0, 0.0, 350.0)
+        row = synth.synthesize(5.0, 100.0, 10.0, 0.0, 350.0)
+        counters = PerfCounters.from_array(row)
         assert counters.llc_misses < counters.llc_loads
 
     def test_remote_traffic_reflected_in_local_counters(self, synth):
         """Remark R3: remote traffic is handled by local controllers."""
         without = synth.synthesize(5.0, 0.0, 10.0, 0.0, 350.0)
         with_remote = synth.synthesize(5.0, 0.0, 10.0, 2.5, 350.0)
-        assert with_remote.mem_loads > without.mem_loads
-        assert with_remote.mem_stores > without.mem_stores
+        assert with_remote[COLUMN["mem_loads"]] > without[COLUMN["mem_loads"]]
+        assert with_remote[COLUMN["mem_stores"]] > without[COLUMN["mem_stores"]]
 
     def test_flit_accounting(self, synth):
-        counters = synth.synthesize(0.0, 0.0, 0.0, 2.5, 900.0)
+        counters = PerfCounters.from_array(synth.synthesize(0.0, 0.0, 0.0, 2.5, 900.0))
         total_flits = counters.rmt_tx_flits + counters.rmt_rx_flits
         assert total_flits == pytest.approx(2.5e9 / 8 / 32)
 
     def test_latency_passthrough(self, synth):
-        counters = synth.synthesize(1.0, 0.0, 1.0, 1.0, 777.0)
-        assert counters.link_latency == pytest.approx(777.0)
+        row = synth.synthesize(1.0, 0.0, 1.0, 1.0, 777.0)
+        assert row[COLUMN["link_latency"]] == pytest.approx(777.0)
 
     def test_noise_perturbs_but_stays_nonnegative(self):
         noisy = CounterSynthesizer(noise=0.2, seed=1)
         clean = CounterSynthesizer(noise=0.0)
-        a = noisy.synthesize(5.0, 0.1, 10.0, 1.0, 400.0).as_array()
-        b = clean.synthesize(5.0, 0.1, 10.0, 1.0, 400.0).as_array()
+        a = noisy.synthesize(5.0, 0.1, 10.0, 1.0, 400.0)
+        b = clean.synthesize(5.0, 0.1, 10.0, 1.0, 400.0)
         assert not np.allclose(a, b)
         assert np.all(a >= 0)
 
     def test_noise_reproducible_by_seed(self):
         a = CounterSynthesizer(noise=0.1, seed=3).synthesize(5, 0, 10, 1, 400)
         b = CounterSynthesizer(noise=0.1, seed=3).synthesize(5, 0, 10, 1, 400)
-        assert np.allclose(a.as_array(), b.as_array())
+        assert np.allclose(a, b)
 
     def test_negative_traffic_raises(self, synth):
         with pytest.raises(ValueError):

@@ -74,16 +74,16 @@ class TestCounters:
                             remote_bw_gbps=2.0)]
         )
         idle = testbed.resolve([])
-        busy_counters = testbed.sample_counters(busy).as_array()
-        idle_counters = testbed.sample_counters(idle).as_array()
+        busy_counters = testbed.sample_counters(busy)
+        idle_counters = testbed.sample_counters(idle)
         assert np.all(busy_counters[:6] > idle_counters[:6])
 
     def test_noise_config_respected(self):
         noisy = Testbed(TestbedConfig(counter_noise=0.1, seed=1))
         demand = [ResourceDemand(llc_access_gbps=5.0, local_bw_gbps=10.0)]
         p = noisy.resolve(demand)
-        a = noisy.sample_counters(p).as_array()
-        b = noisy.sample_counters(p).as_array()
+        a = noisy.sample_counters(p)
+        b = noisy.sample_counters(p)
         assert not np.allclose(a, b)  # fresh noise draw per sample
 
 

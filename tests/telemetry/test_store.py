@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import METRIC_NAMES, PerfCounters
+from repro.hardware import METRIC_NAMES
 from repro.telemetry import MetricStore
 
 
-def sample(value: float) -> PerfCounters:
-    return PerfCounters.from_array(np.full(len(METRIC_NAMES), value))
+def sample(value: float) -> np.ndarray:
+    return np.full(len(METRIC_NAMES), value)
 
 
 class TestPush:
@@ -34,6 +34,22 @@ class TestPush:
     def test_latest_time_empty_raises(self):
         with pytest.raises(ValueError):
             MetricStore().latest_time
+
+    def test_push_copies_the_row(self):
+        store = MetricStore(capacity=4)
+        row = sample(1.0)
+        store.push(1.0, row)
+        row[:] = 9.0
+        assert np.array_equal(store.last(1)[0], sample(1.0))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (len(METRIC_NAMES) - 1,),
+                                       (1, len(METRIC_NAMES))])
+    def test_wrong_row_shape_raises(self, shape):
+        # A scalar or a length-1 row would otherwise broadcast into the ring.
+        store = MetricStore(capacity=4)
+        with pytest.raises(ValueError):
+            store.push(1.0, np.ones(shape))
+        assert len(store) == 0
 
 
 class TestLast:

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster import ClusterEngine
-from repro.hardware import METRIC_NAMES, PerfCounters, Testbed, TestbedConfig
+from repro.hardware import METRIC_NAMES, Testbed, TestbedConfig
 from repro.telemetry import Watcher
 from repro.workloads import MemoryMode, spark_profile
 
 
-def sample(value: float) -> PerfCounters:
-    return PerfCounters.from_array(np.full(len(METRIC_NAMES), value))
+def sample(value: float) -> np.ndarray:
+    return np.full(len(METRIC_NAMES), value)
 
 
 class TestObserve:
@@ -28,6 +29,45 @@ class TestObserve:
     def test_invalid_dt(self):
         with pytest.raises(ValueError):
             Watcher(dt=0.0)
+
+
+class TestImputation:
+    def test_nan_gaps_forward_fill_the_last_good_row(self):
+        watcher = Watcher()
+        watcher.observe(1.0, sample(2.0))
+        gappy = sample(5.0)
+        gappy[[1, 4]] = np.nan
+        watcher.observe(2.0, gappy)
+        dropped = np.full(len(METRIC_NAMES), np.nan)
+        watcher.observe(3.0, dropped)
+        want = sample(5.0)
+        want[[1, 4]] = 2.0
+        history = watcher.history(3.0)
+        assert np.array_equal(history[0], sample(2.0))
+        assert np.array_equal(history[1], want)
+        assert np.array_equal(history[2], want)
+        assert watcher.imputed_values == 2 + len(METRIC_NAMES)
+        # The caller's rows are read, never written.
+        assert np.isnan(gappy[[1, 4]]).all() and np.isnan(dropped).all()
+
+    def test_gaps_before_any_good_row_fill_with_zeros(self):
+        watcher = Watcher()
+        watcher.observe(1.0, np.full(len(METRIC_NAMES), np.nan))
+        assert np.array_equal(watcher.history(1.0)[0], sample(0.0))
+        assert watcher.imputed_values == len(METRIC_NAMES)
+
+    def test_imputations_exported(self):
+        obs.enable()
+        try:
+            watcher = Watcher()
+            gappy = sample(1.0)
+            gappy[0] = np.nan
+            watcher.observe(1.0, gappy)
+            watcher.observe(2.0, gappy)
+            family = obs.metrics().get("telemetry_imputed_values_total")
+            assert family.snapshot()["series"][0]["value"] == 2
+        finally:
+            obs.disable()
 
 
 class TestAttach:
