@@ -59,6 +59,12 @@ class Deployment:
         else:
             self._latency_model = None
             self._request_budget = None
+        # The pressure the last advance ran under, with the slowdown and
+        # (latency-critical apps only) the tail sample it gave.  Plain
+        # attributes, not fields: a checkpoint does not carry them.
+        self._kept_pressure: SystemPressure | None = None
+        self._kept_slowdown = 1.0
+        self._kept_sample = None
 
     # -- queries --------------------------------------------------------
     @property
@@ -86,9 +92,10 @@ class Deployment:
     def advance(self, now: float, dt: float, pressure: SystemPressure) -> None:
         """Advance the deployment by one tick ending at time ``now``.
 
-        The interference model runs once: the tail-latency model of a
-        latency-critical app reuses this tick's slowdown.  The engine
-        calls this for every app on every tick, so it reads
+        The interference model runs once per pressure: while the engine
+        hands in the same pressure object, the slowdown and the tail
+        sample of a latency-critical app are those of the last advance.
+        The engine calls this for every app on every tick, so it reads
         ``finish_time`` and ``profile.kind`` rather than the
         :attr:`running` and kind properties.
         """
@@ -97,7 +104,15 @@ class Deployment:
         if dt <= 0:
             raise ValueError("dt must be positive")
         profile = self.profile
-        slowdown = profile.slowdown(pressure, self.mode)
+        kind = profile.kind
+        if pressure is not self._kept_pressure:
+            self._kept_pressure = pressure
+            self._kept_slowdown = profile.slowdown(pressure, self.mode)
+            if kind is WorkloadKind.LATENCY_CRITICAL:
+                self._kept_sample = self._latency_model.sample_at(
+                    self._kept_slowdown
+                )
+        slowdown = self._kept_slowdown
         self._slowdown_sum += slowdown
         self._slowdown_ticks += 1
         if self.mode is MemoryMode.REMOTE:
@@ -108,7 +123,6 @@ class Deployment:
                 # Gbps x s / 8 bits-per-byte = gigabytes moved this tick.
                 self.link_traffic_gb += share * pressure.link.delivered_gbps * dt / 8.0
 
-        kind = profile.kind
         if kind is WorkloadKind.INTERFERENCE:
             duration = self.duration_s or profile.nominal_runtime_s
             if now - self.arrival_time >= duration:
@@ -116,7 +130,7 @@ class Deployment:
             return
 
         if kind is WorkloadKind.LATENCY_CRITICAL:
-            sample = self._latency_model.sample_at(slowdown)
+            sample = self._kept_sample
             self.p99_samples.append(sample.p99_ms)
             self.p999_samples.append(sample.p999_ms)
             self.served_ops += sample.served_ops * dt

@@ -6,7 +6,9 @@ Watcher's sampling period).  Each tick:
 1. read the demand aggregate of the in-flight deployments — kept
    beside the list, extended by each placement and rebuilt from the
    list whenever a deployment leaves it,
-2. resolve shared-resource contention on the testbed,
+2. resolve shared-resource contention on the testbed — or reuse the
+   pressure the engine last resolved, while the aggregate, the pool
+   capacity factor and the link fault are all unchanged,
 3. advance every deployment under the resolved pressure,
 4. sample the perf counters into the trace.
 
@@ -111,6 +113,17 @@ class ClusterEngine:
         #: Per-tick ThymesisFlow capacity scale in (0, 1], written by the
         #: fleet's rack-pool arbiter; 1.0 (the default) is bit-inert.
         self.pool_capacity_factor = 1.0
+        #: ``(capacity, latency)`` factors of the active link fault,
+        #: written by a fault injector; ``(1.0, 1.0)`` is a healthy link.
+        #: The capacity factor multiplies the pool's, so a throttled lane
+        #: that also degrades stays throttled.
+        self.link_fault = (1.0, 1.0)
+        #: The pressure :meth:`current_pressure` last resolved, and the
+        #: three inputs it was resolved from.
+        self._kept_pressure: SystemPressure | None = None
+        self._kept_demand: ResourceDemand | None = None
+        self._kept_pool = 1.0
+        self._kept_fault = self.link_fault
         #: Optional rack-pool admission check consulted by :meth:`fits`
         #: for remote placements — the fleet wires this to the shared
         #: :class:`repro.hardware.pool.RemotePool` capacity accounting.
@@ -337,23 +350,48 @@ class ClusterEngine:
 
     # -- simulation ---------------------------------------------------------
     def current_pressure(self) -> SystemPressure:
-        """Pressure the testbed is under right now."""
-        return self.testbed.resolve(
-            [self.inflight_demand],
-            link_capacity_factor=self.pool_capacity_factor,
-        )
+        """Pressure the testbed is under right now.
+
+        Resolved only when an input changed since the last read: the
+        demand aggregate (compared by identity, since every write of it
+        builds a new object), the pool capacity factor or the link
+        fault.  Otherwise the kept pressure is returned, and with obs on
+        its link state is exported again, so every read still counts.
+        """
+        if (
+            self._kept_demand is not self.inflight_demand
+            or self._kept_pool != self.pool_capacity_factor
+            or self._kept_fault != self.link_fault
+        ):
+            self._kept_demand = self.inflight_demand
+            self._kept_pool = self.pool_capacity_factor
+            self._kept_fault = self.link_fault
+            self._kept_pressure = self._resolve([self._kept_demand])
+        elif obs.enabled():
+            self.testbed.link.export(self._kept_pressure.link, *self._link_factors())
+        return self._kept_pressure
 
     def pressure_with(
         self, profile: WorkloadProfile, mode: MemoryMode
     ) -> SystemPressure:
-        """Hypothetical pressure if ``profile`` were added in ``mode``.
+        """Hypothetical pressure if ``profile`` were added in ``mode``,
+        resolved on every call.
 
         Used by the Orchestrator and by the isolated-performance
         estimators of the characterization drivers.
         """
+        return self._resolve([self.inflight_demand, profile.demand(mode)])
+
+    def _link_factors(self) -> tuple[float, float]:
+        """The link's capacity and latency factors: the pool arbiter's
+        throttle composed with the active link fault."""
+        capacity, latency = self.link_fault
+        return self.pool_capacity_factor * capacity, latency
+
+    def _resolve(self, demands: list[ResourceDemand]) -> SystemPressure:
+        capacity, latency = self._link_factors()
         return self.testbed.resolve(
-            [self.inflight_demand, profile.demand(mode)],
-            link_capacity_factor=self.pool_capacity_factor,
+            demands, link_capacity_factor=capacity, link_latency_factor=latency
         )
 
     def tick(self) -> SystemPressure:
@@ -492,9 +530,7 @@ class ClusterEngine:
                 "engine_sim_time_seconds", "Current simulation clock",
                 labels=("node",),
             ).labels(node=node).set(self.now)
-        return self.testbed.resolve(
-            [], link_capacity_factor=self.pool_capacity_factor
-        )
+        return self._resolve([])
 
     def run_for(self, seconds: float) -> None:
         """Run the clock forward by ``seconds``."""

@@ -4,11 +4,12 @@ A :class:`FaultInjector` binds one :class:`~repro.faults.plan.FaultPlan`
 to one :class:`~repro.cluster.engine.ClusterEngine` for the duration of
 a scenario replay:
 
-* **link faults** — the testbed's ThymesisFlow link is wrapped so every
-  resolve consults the active window and degrades capacity/latency (or
-  flaps entirely, leaving only the FPGA back-pressure drain trickle);
-  during an outage the engine's ``remote_blocked`` flag re-queues new
-  remote deployments instead of placing them;
+* **link faults** — at each tick the injector writes the active
+  window's capacity and latency factors into the engine's
+  ``link_fault``, which the engine composes with the pool's throttle
+  on every resolve (an outage leaves only the FPGA back-pressure drain
+  trickle); during an outage the engine's ``remote_blocked`` flag
+  re-queues new remote deployments instead of placing them;
 * **telemetry faults** — a tick hook corrupts the counter row the
   engine just sampled (whole-row NaN dropouts, per-metric NaN
   corruption), modelling a Watcher that loses or garbles samples; the
@@ -40,48 +41,19 @@ from repro.faults.plan import (
     FaultSpec,
 )
 
-__all__ = ["FaultInjector", "FaultedLink", "PredictorChaos"]
+__all__ = ["FaultInjector", "PredictorChaos", "link_fault"]
 
 
-class FaultedLink:
-    """Link proxy that applies the active link fault to every resolve."""
-
-    def __init__(self, inner, injector: "FaultInjector") -> None:
-        self._inner = inner
-        self._injector = injector
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    @property
-    def inner(self):
-        return self._inner
-
-    def resolve(
-        self,
-        offered_gbps: float,
-        capacity_factor: float = 1.0,
-        latency_factor: float = 1.0,
-    ):
-        # The incoming factors carry pool-arbitration throttling (see
-        # repro.hardware.pool); fault effects compose multiplicatively
-        # so a throttled lane that also degrades stays throttled.
-        spec = self._injector.active_link_fault()
-        if spec is None:
-            return self._inner.resolve(
-                offered_gbps,
-                capacity_factor=capacity_factor,
-                latency_factor=latency_factor,
-            )
-        if spec.kind == "link_outage":
-            fault_capacity = 0.0
-        else:
-            fault_capacity = float(spec.param("capacity_factor", 1.0))
-        return self._inner.resolve(
-            offered_gbps,
-            capacity_factor=capacity_factor * fault_capacity,
-            latency_factor=latency_factor * float(spec.param("latency_factor", 1.0)),
-        )
+def link_fault(spec: FaultSpec | None) -> tuple[float, float]:
+    """The ``(capacity, latency)`` factors a link window applies; a
+    healthy link's when ``spec`` is ``None``."""
+    if spec is None:
+        return (1.0, 1.0)
+    capacity = (
+        0.0 if spec.kind == "link_outage"
+        else float(spec.param("capacity_factor", 1.0))
+    )
+    return (capacity, float(spec.param("latency_factor", 1.0)))
 
 
 class PredictorChaos:
@@ -134,17 +106,17 @@ class FaultInjector:
 
     # -- wiring --------------------------------------------------------------
     def attach(self, engine, predictor=None) -> None:
-        """Install the link wrapper, tick hook and predictor chaos."""
+        """Install the tick hook and predictor chaos."""
         if self.engine is not None:
             raise RuntimeError("injector is already attached to an engine")
         self.engine = engine
-        engine.testbed.link = FaultedLink(engine.testbed.link, self)
         engine.add_tick_hook(self._on_tick)
         if predictor is not None:
             self._predictor = predictor
             predictor.chaos = PredictorChaos(self)
-        # Evaluate windows at t = 0 so a fault starting at 0 applies from
-        # the very first tick (and remote_blocked is correct pre-tick).
+        # Evaluate windows at the engine's clock so a fault starting there
+        # applies from the very first tick (and the engine's link inputs
+        # are correct pre-tick).
         self._update_windows()
 
     def detach(self) -> None:
@@ -153,9 +125,8 @@ class FaultInjector:
         if engine is None:
             return
         engine.remove_tick_hook(self._on_tick)
-        if isinstance(engine.testbed.link, FaultedLink):
-            engine.testbed.link = engine.testbed.link.inner
         engine.remote_blocked = False
+        engine.link_fault = link_fault(None)
         if self._predictor is not None:
             self._predictor.chaos = None
             self._predictor = None
@@ -171,11 +142,14 @@ class FaultInjector:
     def active_fault(self, kinds) -> FaultSpec | None:
         return self.plan.active(kinds, self.now())
 
-    def active_link_fault(self) -> FaultSpec | None:
-        return self.plan.active(LINK_KINDS, self.now())
-
     def _update_windows(self) -> None:
-        """Track window transitions; emit begin/end events and flags."""
+        """Track window transitions; emit begin/end events; write the
+        engine's link inputs.
+
+        The engine's clock moves only inside its tick, and this runs at
+        the end of every tick, so between ticks the engine's link inputs
+        are those of the windows active at its clock.
+        """
         now = self.now()
         # Fleet-side kinds (node crashes, pool device loss) belong to the
         # FleetHealthManager — tracking them here would emit duplicate
@@ -194,6 +168,7 @@ class FaultInjector:
             self.engine.remote_blocked = any(
                 self.plan.faults[i].kind == "link_outage" for i in current
             )
+            self.engine.link_fault = link_fault(self.plan.active(LINK_KINDS, now))
         if obs.enabled():
             obs.metrics().gauge(
                 "faults_active", "Fault windows currently active"

@@ -116,6 +116,20 @@ class CounterSynthesizer:
         link_latency_cycles: float,
     ) -> np.ndarray:
         """Produce one per-second counter sample as a counter row."""
+        return self.perturb(self.mean_row(
+            llc_access_gbps, miss_inflation, local_bw_gbps,
+            remote_delivered_gbps, link_latency_cycles,
+        ))
+
+    def mean_row(
+        self,
+        llc_access_gbps: float,
+        miss_inflation: float,
+        local_bw_gbps: float,
+        remote_delivered_gbps: float,
+        link_latency_cycles: float,
+    ) -> np.ndarray:
+        """The noise-free counter row of one operating point."""
         if min(llc_access_gbps, local_bw_gbps, remote_delivered_gbps) < 0:
             raise ValueError("traffic inputs cannot be negative")
         llc_loads = llc_access_gbps * 1e9 / 8.0 / self.line_bytes
@@ -134,12 +148,17 @@ class CounterSynthesizer:
         rmt_tx = flits * 0.52
         rmt_rx = flits * 0.48
 
-        values = np.array(
+        return np.array(
             [llc_loads, llc_misses, mem_loads, mem_stores, rmt_tx, rmt_rx,
              link_latency_cycles],
             dtype=np.float64,
         )
+
+    def perturb(self, mean: np.ndarray) -> np.ndarray:
+        """One measured sample around a noise-free row, as a new row:
+        ``mean`` is never returned itself, so a caller may keep it while
+        the trace corrupts a sample in place."""
         if self.noise > 0:
-            values = values * self._rng.normal(1.0, self.noise, size=values.shape)
-            values = np.maximum(values, 0.0)
-        return values
+            values = mean * self._rng.normal(1.0, self.noise, size=mean.shape)
+            return np.maximum(values, 0.0)
+        return mean.copy()

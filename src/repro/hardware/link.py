@@ -95,26 +95,7 @@ class ThymesisFlowLink:
         utilization = offered_gbps / capacity
         latency = self.latency_at(utilization) * latency_factor
         backpressure = 1.0 if delivered == 0 else max(1.0, offered_gbps / delivered)
-        if obs.enabled():
-            metrics = obs.metrics()
-            regime = (
-                "outage" if capacity_factor == 0.0
-                else "degraded" if not healthy or latency_factor > 1.0
-                else "idle" if offered_gbps == 0
-                else "saturated" if utilization >= 1.0
-                else "linear"
-            )
-            metrics.counter(
-                "link_resolves_total",
-                "Channel-state resolutions by saturation regime",
-                labels=("regime",),
-            ).labels(regime=regime).inc()
-            metrics.histogram(
-                "link_latency_cycles",
-                "Resolved channel latency per tick (cycles)",
-                buckets=_LATENCY_BUCKETS,
-            ).observe(latency)
-        return LinkState(
+        state = LinkState(
             offered_gbps=offered_gbps,
             delivered_gbps=delivered,
             utilization=utilization,
@@ -122,6 +103,38 @@ class ThymesisFlowLink:
             backpressure=backpressure,
             base_latency_cycles=cfg.base_latency_cycles,
         )
+        if obs.enabled():
+            self.export(state, capacity_factor, latency_factor)
+        return state
+
+    @staticmethod
+    def export(
+        state: LinkState, capacity_factor: float, latency_factor: float
+    ) -> None:
+        """Export one resolution of ``state`` under the given factors.
+
+        :meth:`resolve` calls this with obs on; a caller that reuses a
+        state it resolved earlier calls it on each read, so the metrics
+        count reads whether or not they resolved afresh.
+        """
+        metrics = obs.metrics()
+        regime = (
+            "outage" if capacity_factor == 0.0
+            else "degraded" if capacity_factor != 1.0 or latency_factor > 1.0
+            else "idle" if state.offered_gbps == 0
+            else "saturated" if state.utilization >= 1.0
+            else "linear"
+        )
+        metrics.counter(
+            "link_resolves_total",
+            "Channel-state resolutions by saturation regime",
+            labels=("regime",),
+        ).labels(regime=regime).inc()
+        metrics.histogram(
+            "link_latency_cycles",
+            "Resolved channel latency per tick (cycles)",
+            buckets=_LATENCY_BUCKETS,
+        ).observe(state.latency_cycles)
 
     def latency_at(self, utilization: float) -> float:
         """Two-regime latency: logistic ramp from base to saturated.

@@ -128,10 +128,11 @@ class SystemPressure:
     remote_llc_factor: float = _term()
 
     def __post_init__(self) -> None:
-        # Every resolve builds one pressure, node-ranking reads included,
-        # so this stays cheap: the terms go straight into the instance
-        # dict (the class is frozen), and each max(0, x) / min(1, x) is
-        # a conditional, which returns the same float as the builtin.
+        # Every resolve builds one pressure: each change of an engine's
+        # inputs and each hypothetical placement.  So this stays cheap:
+        # the terms go straight into the instance dict (the class is
+        # frozen), and each max(0, x) / min(1, x) is a conditional,
+        # which returns the same float as the builtin.
         link = self.link
         over = self.cpu_utilization - 1.0
         # LinkState.latency_ratio, without the property call.
@@ -152,9 +153,12 @@ class SystemPressure:
 class Testbed:
     """Analytic two-node ThymesisFlow testbed.
 
-    Stateless between ticks except for counter noise: contention is an
-    instantaneous function of aggregate demand, which matches the
-    steady-state character of the paper's characterization sweeps.
+    Contention is an instantaneous function of aggregate demand and the
+    link's capacity and latency factors, which matches the steady-state
+    character of the paper's characterization sweeps: :meth:`resolve`
+    keeps no state.  :meth:`sample_counters` keeps the noise-free
+    counter row of the last pressure it sampled, and the counter noise
+    RNG advances with every sample.
     """
 
     def __init__(self, config: TestbedConfig | None = None) -> None:
@@ -170,19 +174,27 @@ class Testbed:
             noise=self.config.counter_noise,
             seed=self.config.seed,
         )
+        #: The pressure :meth:`sample_counters` last sampled, and its
+        #: noise-free counter row (never handed out: samples are copies).
+        self._counter_pressure: SystemPressure | None = None
+        self._counter_mean: np.ndarray | None = None
 
     def resolve(
         self,
         demands: list[ResourceDemand],
         link_capacity_factor: float = 1.0,
+        link_latency_factor: float = 1.0,
     ) -> SystemPressure:
         """Resolve shared-resource contention for one tick.
 
         ``link_capacity_factor`` scales the ThymesisFlow channel's
-        capacity for this resolution — the rack-pool arbiter
+        capacity for this resolution and ``link_latency_factor`` its
+        latency: the rack-pool arbiter
         (:class:`repro.hardware.pool.RemotePool`) throttles a node's
-        lane this way when the pool fabric saturates.  The default of 1
-        leaves single-node behaviour bit-identical.
+        lane when the pool fabric saturates, and a link fault degrades
+        or cuts it (see :class:`repro.cluster.engine.ClusterEngine`,
+        which composes the two).  The defaults of 1 leave single-node
+        behaviour bit-identical.
         """
         total = ResourceDemand.total(demands)
         if total.local_gb > self.config.node.dram_gb:
@@ -201,18 +213,28 @@ class Testbed:
             llc=self.llc.resolve(total.llc_mb),
             memory=self.memory.resolve(total.local_bw_gbps, total.local_gb),
             link=self.link.resolve(
-                total.remote_bw_gbps, capacity_factor=link_capacity_factor
+                total.remote_bw_gbps,
+                capacity_factor=link_capacity_factor,
+                latency_factor=link_latency_factor,
             ),
             total_demand=total,
         )
 
     def sample_counters(self, pressure: SystemPressure) -> np.ndarray:
         """Synthesize the Watcher's seven events from resolved pressure,
-        as one float64 row in ``METRIC_NAMES`` order."""
-        return self.counters.synthesize(
-            llc_access_gbps=pressure.total_demand.llc_access_gbps,
-            miss_inflation=pressure.llc.miss_inflation,
-            local_bw_gbps=pressure.memory.delivered_gbps,
-            remote_delivered_gbps=pressure.link.delivered_gbps,
-            link_latency_cycles=pressure.link.latency_cycles,
-        )
+        as one new float64 row in ``METRIC_NAMES`` order.
+
+        The noise-free row is derived once per pressure object (an
+        engine reads the same one until its inputs change); the noise
+        is drawn on every call, so the RNG advances as it always has.
+        """
+        if pressure is not self._counter_pressure:
+            self._counter_pressure = pressure
+            self._counter_mean = self.counters.mean_row(
+                llc_access_gbps=pressure.total_demand.llc_access_gbps,
+                miss_inflation=pressure.llc.miss_inflation,
+                local_bw_gbps=pressure.memory.delivered_gbps,
+                remote_delivered_gbps=pressure.link.delivered_gbps,
+                link_latency_cycles=pressure.link.latency_cycles,
+            )
+        return self.counters.perturb(self._counter_mean)

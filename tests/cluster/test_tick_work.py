@@ -5,9 +5,11 @@ touches: a congested single-node scenario, and perfbench's fleet-rack
 shape (eight pooled nodes under two-level placement), shortened.  The
 counts are deterministic for the seed, so each relation is asserted with
 ``==``: a tick that walks finished work, a sum over the running set
-rebuilt on a read, a slowdown evaluated twice for one app, a counter
-row converted on its way into the trace, or a node ranked twice each
-break one.
+rebuilt on a read, a pressure resolved although its inputs did not
+change, a slowdown or counter row derived again under the same
+pressure, a counter row converted on its way into the trace, or a node
+ranked twice each break one.  The test works out on its own which reads
+saw changed inputs and which advances and samples a new pressure.
 """
 
 import collections
@@ -22,7 +24,7 @@ from repro.cluster.fleet_scenario import FleetScenarioConfig, run_fleet_scenario
 from repro.cluster.scenario import ScenarioConfig, run_scenario
 from repro.experiments.fleet_scaling import FABRIC_OVERSUB
 from repro.hardware.config import TestbedConfig
-from repro.hardware.counters import PerfCounters
+from repro.hardware.counters import CounterSynthesizer, PerfCounters
 from repro.hardware.pool import PoolRegime, RemotePoolConfig
 from repro.hardware.testbed import ResourceDemand, Testbed
 from repro.orchestrator.policies import InterferenceThresholdPolicy
@@ -38,11 +40,18 @@ def count_work(run):
     the deployments in flight as each engine tick starts, ``rebuilds``
     lists the size of each ``set_inflight`` list, ``live`` sums the live
     nodes at each ranking, and ``mode_decisions`` counts the BE/LC
-    decisions of the mode policy.
+    decisions of the mode policy.  ``changed_reads`` counts the pressure
+    reads whose engine inputs (the demand aggregate object, the pool
+    capacity factor, the link fault) differ from that engine's previous
+    read; ``new_pressure_advances`` and ``new_pressure_samples`` count
+    the advances and counter samples handed a pressure object other than
+    the one that deployment or testbed saw last.
     """
     counts = collections.Counter()
     counts["rebuilds"] = []
     patch = pytest.MonkeyPatch()
+    # Each last-seen entry holds its objects, so no identity is reused.
+    last_inputs, last_advanced, last_sampled = {}, {}, {}
 
     def counted(name, original, note=None):
         @functools.wraps(original)
@@ -72,20 +81,44 @@ def count_work(run):
         if profile.kind is not WorkloadKind.INTERFERENCE:
             counts["mode_decisions"] += 1
 
+    def read(engine):
+        inputs = (engine.inflight_demand, engine.pool_capacity_factor, engine.link_fault)
+        previous = last_inputs.get(engine)
+        if (
+            previous is None
+            or previous[0] is not inputs[0]
+            or previous[1:] != inputs[1:]
+        ):
+            counts["changed_reads"] += 1
+        last_inputs[engine] = inputs
+
+    def advance(deployment, now, dt, pressure):
+        previous = last_advanced.get(id(deployment))
+        if previous is None or previous[1] is not pressure:
+            counts["new_pressure_advances"] += 1
+        last_advanced[id(deployment)] = (deployment, pressure)
+
+    def sample(testbed, pressure):
+        if last_sampled.get(testbed) is not pressure:
+            counts["new_pressure_samples"] += 1
+        last_sampled[testbed] = pressure
+
     running = counted("Deployment.running", Deployment.running.fget)
     patch.setattr(Deployment, "running", property(running))
-    count(Deployment, "advance")
+    count(Deployment, "advance", advance)
     count(Deployment, "_finish")
     count(WorkloadProfile, "slowdown")
     count(PerfCounters, "from_array")
     count(PerfCounters, "as_array")
+    count(CounterSynthesizer, "mean_row")
     count(ClusterEngine, "__init__")
     count(ClusterEngine, "tick", in_flight)
     count(ClusterEngine, "deploy")
     count(ClusterEngine, "set_inflight", rebuild)
+    count(ClusterEngine, "current_pressure", read)
     count(ClusterEngine, "pressure_with")
     count(Testbed, "resolve")
-    count(Testbed, "sample_counters")
+    count(Testbed, "sample_counters", sample)
     count(ResourceDemand, "__init__")
     count(ClusterFleet, "tick")
     count(ClusterFleet, "_arbitrate")
@@ -139,14 +172,17 @@ def test_engine_work_per_tick_and_placement(half, request):
     finishes = counts["Deployment._finish"]
     assert ticks > 0 and placements > 100 and finishes > 100
     assert counts["Testbed.sample_counters"] == ticks
-    # A tick resolves its kept aggregate once; a hypothetical placement,
-    # a node-load read and a BE/LC mode decision resolve one pressure each.
-    assert counts["Testbed.resolve"] == (
-        ticks
-        + counts["ClusterEngine.pressure_with"]
-        + counts["ClusterFleet.node_load"]
-        + counts["mode_decisions"]
+    # A tick, a node-load read and a BE/LC mode decision read the
+    # engine's pressure once each.
+    assert counts["ClusterEngine.current_pressure"] == (
+        ticks + counts["ClusterFleet.node_load"] + counts["mode_decisions"]
     )
+    # A read resolves only when its inputs changed since the engine's
+    # last read; a hypothetical placement always resolves.
+    assert counts["Testbed.resolve"] == (
+        counts["ClusterEngine.pressure_with"] + counts["changed_reads"]
+    )
+    assert counts["changed_reads"] < ticks
     # An engine starts its aggregate at zero; a placement and a
     # hypothetical placement each add one demand to it; a rebuild folds
     # its n demands from the first (n - 1 sums), an empty one is zero.
@@ -159,9 +195,12 @@ def test_engine_work_per_tick_and_placement(half, request):
     # One advance per deployment in flight as the tick starts: a finished
     # deployment leaves its engine in the tick it finishes.
     assert advances == counts["in_flight"]
-    # One slowdown per advance: a latency-critical app's tail-latency
-    # sample reuses it.
-    assert counts["WorkloadProfile.slowdown"] == advances
+    # One slowdown per advance under a pressure that deployment has not
+    # seen last: a latency-critical app's tail-latency sample reuses it.
+    assert counts["WorkloadProfile.slowdown"] == counts["new_pressure_advances"]
+    assert counts["new_pressure_advances"] < advances
+    # One noise-free counter row per tick whose pressure changed.
+    assert counts["CounterSynthesizer.mean_row"] == counts["new_pressure_samples"]
     # The advance's guard and the tick's finish test read finish_time;
     # only the record's guard reads the property.
     assert counts["Deployment.running"] == finishes

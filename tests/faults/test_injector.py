@@ -5,10 +5,10 @@ import pytest
 
 from repro.cluster.engine import ClusterEngine, RemoteUnavailableError
 from repro.faults.errors import InferenceTimeout
-from repro.faults.injector import FaultedLink, FaultInjector, PredictorChaos
+from repro.faults.injector import FaultInjector, PredictorChaos
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.hardware import Testbed, TestbedConfig
-from repro.workloads import MemoryMode, spark_profile
+from repro.workloads import MemoryMode, ibench_profile, spark_profile
 
 
 def plan_of(*specs, seed=7):
@@ -19,16 +19,33 @@ def make_engine(seed=0):
     return ClusterEngine(testbed=Testbed(TestbedConfig(seed=seed)))
 
 
+#: A remote app offering 2 Gbps to the 2.5 Gbps channel.
+HEAVY = spark_profile("scan").with_overrides(remote_bw_gbps=2.0)
+
+
+def remote_link(engine):
+    """The link state if ``HEAVY`` were placed remote on ``engine``."""
+    return engine.pressure_with(HEAVY, MemoryMode.REMOTE).link
+
+
 class TestAttachDetach:
-    def test_attach_wraps_link_and_detach_restores(self):
+    def test_attach_sets_link_fault_and_detach_clears_it(self):
         engine = make_engine()
         original_link = engine.testbed.link
-        injector = FaultInjector(plan_of(), scenario_seed=1)
+        injector = FaultInjector(
+            plan_of(
+                FaultSpec(
+                    kind="link_degrade", start_s=0.0, duration_s=100.0,
+                    params={"capacity_factor": 0.5, "latency_factor": 1.5},
+                )
+            ),
+            scenario_seed=1,
+        )
         injector.attach(engine)
-        assert isinstance(engine.testbed.link, FaultedLink)
-        assert engine.testbed.link.inner is original_link
-        injector.detach()
+        assert engine.link_fault == (0.5, 1.5)
         assert engine.testbed.link is original_link
+        injector.detach()
+        assert engine.link_fault == (1.0, 1.0)
         assert not engine._tick_hooks
         injector.detach()  # idempotent
 
@@ -69,15 +86,15 @@ class TestLinkFaults:
                 )
             )
         )
+        healthy = remote_link(engine)
         injector.attach(engine)
-        healthy = engine.testbed.link.inner.resolve(2.0)
-        degraded = engine.testbed.link.resolve(2.0)
+        degraded = remote_link(engine)
         assert degraded.delivered_gbps == pytest.approx(1.25)  # 2.5 * 0.5
         assert degraded.utilization == pytest.approx(2.0 / 1.25)
         assert degraded.latency_cycles > healthy.latency_cycles
-        # After the window the proxy is transparent.
+        # After the window the link is healthy again.
         engine.run_for(150.0)
-        assert engine.testbed.link.resolve(2.0) == healthy
+        assert remote_link(engine) == healthy
 
     def test_outage_delivers_only_drain_trickle_and_blocks_remote(self):
         engine = make_engine()
@@ -90,7 +107,7 @@ class TestLinkFaults:
         assert not engine.remote_blocked
         engine.run_for(15.0)
         assert engine.remote_blocked
-        state = engine.testbed.link.resolve(2.0)
+        state = remote_link(engine)
         # Only the FPGA back-pressure drain survives: 2% of 2.5 Gbps.
         assert state.delivered_gbps == pytest.approx(2.5 * 0.02)
         assert state.backpressure == pytest.approx(2.0 / (2.5 * 0.02))
@@ -140,6 +157,36 @@ class TestTelemetryFaults:
         assert sum(nan_counts) > 0
         # p = 0.3 should leave most rows partially intact.
         assert any(0 < n < engine.trace._counter_rows[0].size for n in nan_counts)
+
+
+    def test_noise_free_rows_are_hit_one_tick_at_a_time(self):
+        # Without counter noise a steady engine samples one noise-free
+        # row, derived once for its unchanging pressure; the faults write
+        # the trace's copy in place and must leave every other tick whole.
+        engine = ClusterEngine(
+            testbed=Testbed(TestbedConfig(seed=0, counter_noise=0.0))
+        )
+        engine.deploy(ibench_profile("memBw"), MemoryMode.REMOTE, duration_s=500.0)
+        injector = FaultInjector(
+            plan_of(
+                FaultSpec(
+                    kind="telemetry_dropout", start_s=10.0, duration_s=1.0,
+                    params={"probability": 1.0},
+                ),
+                FaultSpec(
+                    kind="telemetry_corrupt", start_s=20.0, duration_s=1.0,
+                    params={"probability": 1.0},
+                ),
+            )
+        )
+        injector.attach(engine)
+        engine.run_for(30.0)
+        rows = engine.trace._counter_rows
+        for time, row in zip(engine.trace.times, rows):
+            if time in (10.0, 20.0):
+                assert np.isnan(row).all(), time
+            else:
+                assert np.array_equal(row, rows[0]), time
 
 
 class TestPredictorChaos:
