@@ -165,10 +165,13 @@ class FaultInjector:
             self._note_transition(self.plan.faults[index], "end", now)
         self._active = current
         if self.engine is not None:
-            self.engine.remote_blocked = any(
-                self.plan.faults[i].kind == "link_outage" for i in current
+            # An outage cuts the link whatever else is active: an
+            # overlapping degrade neither unblocks nor revives it.
+            outage = self.plan.active(("link_outage",), now)
+            self.engine.remote_blocked = outage is not None
+            self.engine.link_fault = link_fault(
+                outage or self.plan.active(LINK_KINDS, now)
             )
-            self.engine.link_fault = link_fault(self.plan.active(LINK_KINDS, now))
         if obs.enabled():
             obs.metrics().gauge(
                 "faults_active", "Fault windows currently active"

@@ -33,14 +33,15 @@ from tests.helpers import assert_traces_identical
 HEALTHY = (1.0, 1.0)
 
 #: Link windows with edges on and off tick boundaries, an outage that
-#: hands over to a degrade on one tick, and telemetry faults beside them.
+#: overlaps a degrade listed before it (the outage wins, then hands over
+#: to the degrade), and telemetry faults beside them.
 LINK_PLAN = FaultPlan(
     faults=(
         FaultSpec(kind="link_degrade", start_s=10.0, duration_s=30.5,
                   params={"capacity_factor": 0.5, "latency_factor": 1.5}),
-        FaultSpec(kind="link_outage", start_s=60.5, duration_s=29.5),
-        FaultSpec(kind="link_degrade", start_s=90.0, duration_s=20.0,
+        FaultSpec(kind="link_degrade", start_s=80.0, duration_s=30.0,
                   params={"capacity_factor": 0.25}),
+        FaultSpec(kind="link_outage", start_s=60.5, duration_s=29.5),
         FaultSpec(kind="telemetry_corrupt", start_s=5.0, duration_s=50.0,
                   params={"probability": 0.3}),
     ),
@@ -49,8 +50,9 @@ LINK_PLAN = FaultPlan(
 
 
 def expected_fault(plan, now):
-    """The ``(capacity, latency)`` factors the plan's link window sets."""
-    spec = plan.active(LINK_KINDS, now)
+    """The ``(capacity, latency)`` factors the plan's link windows set:
+    an active outage's, else the first active degrade's."""
+    spec = plan.active(("link_outage",), now) or plan.active(LINK_KINDS, now)
     if spec is None:
         return HEALTHY
     capacity = (

@@ -118,6 +118,32 @@ class TestLinkFaults:
         engine.deploy(spark_profile("scan"), MemoryMode.REMOTE)
 
 
+    @pytest.mark.parametrize("outage_first", [False, True])
+    def test_outage_wins_over_an_overlapping_degrade(self, outage_first):
+        # The windows FaultPlan.sample(seed=0) draws: the outage opens
+        # while the degrade is still active.
+        degrade = FaultSpec(
+            kind="link_degrade", start_s=254.8, duration_s=96.4,
+            params={"capacity_factor": 0.5, "latency_factor": 1.5},
+        )
+        outage = FaultSpec(
+            kind="link_outage", start_s=338.2, duration_s=60.0,
+            params={"latency_factor": 1.0},
+        )
+        engine = make_engine()
+        specs = (outage, degrade) if outage_first else (degrade, outage)
+        FaultInjector(plan_of(*specs)).attach(engine)
+        alone = make_engine()
+        FaultInjector(plan_of(outage)).attach(alone)
+        engine.run_for(345.0)
+        alone.run_for(345.0)
+        assert engine.remote_blocked
+        assert engine.link_fault == (0.0, 1.0)
+        cut = remote_link(engine)
+        assert cut == remote_link(alone)
+        assert cut.delivered_gbps == pytest.approx(2.5 * 0.02)
+
+
 class TestTelemetryFaults:
     def test_dropout_blanks_whole_rows(self):
         engine = make_engine()
