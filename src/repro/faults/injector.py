@@ -41,10 +41,10 @@ from repro.faults.plan import (
     FaultSpec,
 )
 
-__all__ = ["FaultInjector", "PredictorChaos", "link_fault"]
+__all__ = ["FaultInjector", "PredictorChaos"]
 
 
-def link_fault(spec: FaultSpec | None) -> tuple[float, float]:
+def _link_fault(spec: FaultSpec | None) -> tuple[float, float]:
     """The ``(capacity, latency)`` factors a link window applies; a
     healthy link's when ``spec`` is ``None``."""
     if spec is None:
@@ -126,7 +126,7 @@ class FaultInjector:
             return
         engine.remove_tick_hook(self._on_tick)
         engine.remote_blocked = False
-        engine.link_fault = link_fault(None)
+        engine.link_fault = _link_fault(None)
         if self._predictor is not None:
             self._predictor.chaos = None
             self._predictor = None
@@ -169,7 +169,7 @@ class FaultInjector:
             # overlapping degrade neither unblocks nor revives it.
             outage = self.plan.active(("link_outage",), now)
             self.engine.remote_blocked = outage is not None
-            self.engine.link_fault = link_fault(
+            self.engine.link_fault = _link_fault(
                 outage or self.plan.active(LINK_KINDS, now)
             )
         if obs.enabled():
