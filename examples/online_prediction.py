@@ -1,29 +1,28 @@
 """Online predictive monitoring with the Watcher and Predictor.
 
-Demonstrates the run-time loop of Fig. 7: a Watcher attached to a live
-cluster streams counter samples; when a candidate application arrives,
-the Predictor forecasts the system state over the next horizon window
-and estimates the application's performance under both memory modes —
-the inputs to the Adrias placement decision.
+Demonstrates the run-time loop of Fig. 7: the live cluster's trace
+records the Watcher's counter samples, one row per tick.  At the first
+arrival past each 200 s mark the Predictor reads the trailing 120 s
+window of it (the read the Adrias policy makes), forecasts the system
+state over the next horizon window and estimates candidate
+applications' performance under both memory modes — the inputs to the
+Adrias placement decision.
 
 Usage:  python examples/online_prediction.py
 """
 
 from repro.cluster import ClusterEngine, ScenarioConfig, generate_arrivals
 from repro.orchestrator import TrainingBudget, train_predictor
-from repro.telemetry import Watcher
-from repro.workloads import MemoryMode, WorkloadKind, spark_profile
+from repro.workloads import MemoryMode, spark_profile
 
 HISTORY_S = 120.0
 
 
 def main() -> None:
-    print("training a quick predictor (one-off, ~1 minute)...")
+    print("training a quick predictor (one-off, a few seconds)...")
     predictor = train_predictor(TrainingBudget.quick())
 
     engine = ClusterEngine()
-    watcher = Watcher()
-    watcher.attach(engine)
 
     # Generate background load from a moderate scenario.
     arrivals = generate_arrivals(
@@ -44,7 +43,7 @@ def main() -> None:
 
         if engine.now >= next_check:
             next_check += 200.0
-            history = watcher.history(HISTORY_S)
+            history = engine.trace.window(engine.now, HISTORY_S)
             s_hat = predictor.predict_system_state(history)
             print(f"\n=== t={engine.now:.0f}s, "
                   f"{len(engine.running)} apps running ===")

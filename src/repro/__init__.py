@@ -13,7 +13,8 @@ Top-level packages
 ``repro.cluster``
     Discrete-time cluster engine, scenario generation and tracing.
 ``repro.telemetry``
-    The Watcher: performance-event sampling and history windows.
+    The Watcher's catalog of the seven monitored performance events
+    (the samples themselves are the cluster trace's counter rows).
 ``repro.models``
     The Predictor: system-state and performance LSTM models, feature
     pipelines and datasets.

@@ -394,7 +394,7 @@ class ClusterEngine:
             demands, link_capacity_factor=capacity, link_latency_factor=latency
         )
 
-    def tick(self) -> SystemPressure:
+    def tick(self) -> None:
         """Advance the simulation by one step.
 
         When phase accounting is enabled (:func:`repro.obs.enable` or
@@ -408,7 +408,8 @@ class ClusterEngine:
         bit-identical simulation output.
         """
         if self.dead:
-            return self._tick_dead()
+            self._tick_dead()
+            return
         acct = perf_accounting()
         t0 = tick_start = acct.clock() if acct is not None else 0.0
         if self._retry_queue:
@@ -495,9 +496,8 @@ class ClusterEngine:
                     "Wall-clock duration of one engine tick",
                     labels=("node",),
                 ).labels(node=self.node_label or "n0").observe(total)
-        return pressure
 
-    def _tick_dead(self) -> SystemPressure:
+    def _tick_dead(self) -> None:
         """One tick of a fail-stopped node.
 
         Only the clock advances (the fleet's lockstep drift guard
@@ -530,7 +530,6 @@ class ClusterEngine:
                 "engine_sim_time_seconds", "Current simulation clock",
                 labels=("node",),
             ).labels(node=node).set(self.now)
-        return self._resolve([])
 
     def run_for(self, seconds: float) -> None:
         """Run the clock forward by ``seconds``."""

@@ -88,7 +88,8 @@ class Trace:
         """Mean metric vector over ``[start_time, start_time + length_s)``.
 
         This is the system-state model's target: the predicted mean value
-        of each event over the horizon window z (§V-B2).
+        of each event over the horizon window z (§V-B2).  The live
+        session's drift join scores each Ŝ forecast against it too.
         """
         if length_s <= 0:
             raise ValueError("horizon length must be positive")

@@ -5,8 +5,8 @@ canonical names/ordering (used by models, datasets and the Table I
 bench) and synthesizes per-second counter values from the resolved
 hardware state.  A sample travels as a *counter row*: a float64 array
 of shape ``(len(METRIC_NAMES),)`` in ``METRIC_NAMES`` order, which the
-trace and the Watcher's store keep as it is.  :class:`PerfCounters` is
-the named view of a row, for callers that read events by name.
+trace keeps as it is.  :class:`PerfCounters` is the named view of a
+row, for callers that read events by name.
 """
 
 from __future__ import annotations

@@ -21,7 +21,8 @@ Two mechanisms run side by side per error stream:
 
 Streams are keyed by the caller — the live session feeds ``be`` / ``lc``
 performance-prediction errors (from the decision-audit join) and a
-``system_state`` stream (Ŝ forecasts vs realized Watcher horizon means).
+``system_state`` stream (Ŝ forecasts vs the realized horizon means of
+the engine's trace).
 """
 
 from __future__ import annotations
@@ -167,10 +168,12 @@ class DriftDetector:
     ) -> DriftAlarm | None:
         """Feed one (relative) forecast error; returns the alarm if fired.
 
-        Non-finite errors (a NaN forecast joined against a real
-        measurement under fault injection) are counted and dropped — a
-        single poisoned observation would otherwise wedge the EWMA and
-        Page–Hinkley statistics at NaN forever.
+        Non-finite errors are counted and dropped — a NaN forecast
+        joined against a real measurement under fault injection, or a
+        forecast whose realized window has a gap (a dropped or corrupted
+        counter row, a crashed node's dead ticks).  A single poisoned
+        observation would otherwise wedge the EWMA and Page–Hinkley
+        statistics at NaN forever.
         """
         magnitude = abs(float(error))
         if magnitude != magnitude or magnitude == float("inf"):

@@ -4,17 +4,14 @@ table to the running simulation.
 A :class:`LiveSession` is created by :func:`repro.obs.enable_live` (CLI:
 ``--obs-stream``) and attaches itself to every :class:`ClusterEngine`
 constructed while it is active (the engine checks ``obs.live_session()`` in its
-constructor).  Per engine it installs
-
-* a tick hook that drives the whole pipeline once per simulated second,
-* a :class:`~repro.telemetry.watcher.Watcher` mirroring the engine's
-  counter samples — the "realized measurements" that Ŝ forecasts are
-  joined against.
+constructor) by installing one tick hook, which drives the whole
+pipeline once per simulated second.
 
 Per tick the session
 
 1. joins matured Ŝ forecasts (noted by the Predictor) against the
-   Watcher's realized horizon mean and feeds the ``system_state`` drift
+   realized horizon mean of the engine's trace — the system-state
+   model's own training target — and feeds the ``system_state`` drift
    stream;
 2. drains newly joined decision-audit rows and feeds their relative
    prediction errors to the ``be`` / ``lc`` drift streams;
@@ -66,11 +63,10 @@ _REL_EPS = 1e-9
 class _EngineState:
     """Per-engine bookkeeping held weakly by the session."""
 
-    __slots__ = ("index", "watcher", "records_seen", "forecasts")
+    __slots__ = ("index", "records_seen", "forecasts")
 
-    def __init__(self, index: int, watcher) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.watcher = watcher
         #: engine.trace.records already classified against the SLO.
         self.records_seen = 0
         #: pending Ŝ forecasts: (emit_time, due_time, s_hat).
@@ -166,14 +162,8 @@ class LiveSession:
         """Start streaming ``engine`` (idempotent; called by its ctor)."""
         if self._closed or engine in self._engines:
             return
-        from repro.telemetry.watcher import Watcher  # late: layering
-
-        capacity_s = max(1024.0 * engine.dt, 4.0 * 120.0)
-        watcher = Watcher(history_capacity_s=capacity_s, dt=engine.dt)
-        watcher.attach(engine)
-        state = _EngineState(index=self._n_attached, watcher=watcher)
+        self._engines[engine] = _EngineState(index=self._n_attached)
         self._n_attached += 1
-        self._engines[engine] = state
         engine.add_tick_hook(self._on_tick)
         self._current = weakref.ref(engine)
 
@@ -277,12 +267,14 @@ class LiveSession:
     def _join_forecasts(self, engine, state: _EngineState) -> None:
         """Feed matured Ŝ forecasts to the ``system_state`` drift stream.
 
-        The Watcher mirrors each tick's sample *after* tick hooks run,
-        so a forecast due at ``due`` is joined on the first tick where
-        the Watcher's coverage (``now - dt``) reaches ``due`` — the
-        trailing horizon window then spans exactly
-        ``(emit, emit + horizon]``, the system-state model's target
-        definition.
+        A forecast emitted at ``emit`` is scored against
+        ``engine.trace.horizon_mean(emit, horizon)``, the mean of the
+        rows stamped ``(emit, due]`` — what the system-state model is
+        trained to predict.  It is joined on the tick *after* ``due``:
+        this hook runs before a fault injector's, which may still drop
+        or corrupt the row its own tick sampled.  A horizon holding a
+        NaN cell (a telemetry fault, a crashed node's dead ticks) gives
+        a non-finite error, which the drift detector counts and drops.
         """
         if not state.forecasts:
             return
@@ -292,8 +284,7 @@ class LiveSession:
             if covered < due - 1e-9:
                 remaining.append((emit_time, due, s_hat))
                 continue
-            horizon = due - emit_time
-            realized = state.watcher.horizon_mean(horizon)
+            realized = engine.trace.horizon_mean(emit_time, due - emit_time)
             error = float(
                 np.mean(np.abs(s_hat - realized))
                 / (np.mean(np.abs(realized)) + _REL_EPS)

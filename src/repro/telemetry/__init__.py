@@ -1,20 +1,17 @@
-"""repro.telemetry — the Watcher component of Adrias (§V-A).
+"""repro.telemetry — the event catalog of the Adrias Watcher (§V-A).
 
 Defines the seven monitored performance events (LLC loads/misses, local
-memory loads/stores, ThymesisFlow tx/rx flits and channel latency),
-bounded online storage for their samples and the Watcher that serves
-fixed-shape history windows to the Predictor.
+memory loads/stores, ThymesisFlow tx/rx flits and channel latency).  The
+Watcher's samples themselves are the engine's trace: each tick appends
+one counter row, and the Predictor reads its history windows from
+:meth:`repro.cluster.trace.Trace.window`.
 """
 
 from repro.telemetry.events import EVENTS, EventSpec, event_index, event_spec
-from repro.telemetry.store import MetricStore
-from repro.telemetry.watcher import Watcher
 
 __all__ = [
     "EVENTS",
     "EventSpec",
-    "MetricStore",
-    "Watcher",
     "event_index",
     "event_spec",
 ]

@@ -23,6 +23,8 @@ from repro.cluster.fleet import ClusterFleet, PoolAwarePlacement
 from repro.cluster.fleet_scenario import FleetScenarioConfig, run_fleet_scenario
 from repro.cluster.scenario import ScenarioConfig, run_scenario
 from repro.experiments.fleet_scaling import FABRIC_OVERSUB
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.faults.runtime import active_plan
 from repro.hardware.config import TestbedConfig
 from repro.hardware.counters import CounterSynthesizer, PerfCounters
 from repro.hardware.pool import PoolRegime, RemotePoolConfig
@@ -113,6 +115,7 @@ def count_work(run):
     count(CounterSynthesizer, "mean_row")
     count(ClusterEngine, "__init__")
     count(ClusterEngine, "tick", in_flight)
+    count(ClusterEngine, "_tick_dead")
     count(ClusterEngine, "deploy")
     count(ClusterEngine, "set_inflight", rebuild)
     count(ClusterEngine, "current_pressure", read)
@@ -208,6 +211,41 @@ def test_engine_work_per_tick_and_placement(half, request):
     # with no named view built or unpacked on the way.
     assert counts["PerfCounters.from_array"] == 0
     assert counts["PerfCounters.as_array"] == 0
+
+
+def test_dead_ticks_resolve_nothing():
+    """A crashed node's tick advances its clock and records a NaN gap:
+    it samples no counters and resolves no pressure."""
+    seed = 6
+    base = TestbedConfig(seed=seed)
+    pool = RemotePoolConfig(
+        capacity_gb=base.node.remote_gb * 3,
+        aggregate_bw_gbps=base.link.capacity_gbps * 3 * 0.3,
+        regime=PoolRegime.POOLED,
+    )
+    scenario = ScenarioConfig(
+        duration_s=400.0, spawn_interval=(5.0 / 3, 20.0 / 3), seed=seed
+    )
+    config = FleetScenarioConfig(scenario=scenario, n_nodes=3, pool=pool)
+    plan = FaultPlan(
+        faults=(
+            FaultSpec(kind="node_crash", start_s=100.0, duration_s=80.0,
+                      params={"node": "n1"}),
+            FaultSpec(kind="link_degrade", start_s=120.5, duration_s=100.0,
+                      params={"capacity_factor": 0.5}),
+        ),
+        seed=4,
+    )
+    with active_plan(plan):
+        counts = count_work(lambda: run_fleet_scenario(
+            config, scheduler=PoolAwarePlacement(InterferenceThresholdPolicy())
+        ))
+    dead = counts["ClusterEngine._tick_dead"]
+    assert dead == 80
+    assert counts["Testbed.sample_counters"] == counts["ClusterEngine.tick"] - dead
+    assert counts["Testbed.resolve"] == (
+        counts["ClusterEngine.pressure_with"] + counts["changed_reads"]
+    )
 
 
 def test_fleet_work_per_tick_and_ranking(fleet_run):

@@ -3,11 +3,12 @@
 import json
 
 import numpy as np
-import pytest
 
 from repro import obs
 from repro.cluster.engine import ClusterEngine
 from repro.cluster.scenario import ScenarioConfig, run_scenario
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.live.watch import read_stream
 from repro.orchestrator.policies import RandomPolicy
 from repro.workloads.base import MemoryMode
@@ -28,7 +29,6 @@ class TestWiring:
     def test_engine_without_live_session_gets_no_hooks(self):
         engine = ClusterEngine()
         assert engine._tick_hooks == []
-        assert not hasattr(engine, "_tick_observers")
 
     def test_engine_auto_attaches_to_live_session(self, tmp_path):
         live = live_session(tmp_path)
@@ -140,18 +140,80 @@ class TestProfileRecords:
 
 
 class TestForecastJoin:
-    def test_forecast_joins_after_horizon_elapses(self, tmp_path):
+    """Ŝ forecasts are scored against the engine trace's horizon mean."""
+
+    EMIT, HORIZON = 1.0, 3.0
+
+    @staticmethod
+    def spy_on_drift(live, monkeypatch):
+        """Record every ``(stream, error, sim_time)`` the detector receives."""
+        seen = []
+        observe = live.drift.observe
+
+        def spy(stream, error, sim_time=0.0, clock=0.0):
+            seen.append((stream, error, sim_time))
+            return observe(stream, error, sim_time=sim_time, clock=clock)
+
+        monkeypatch.setattr(live.drift, "observe", spy)
+        return seen
+
+    def emit_forecast(self, live, engine):
+        """Tick to ``EMIT``, then note a forecast off the realized mean."""
+        engine.tick()  # the trace's first row, stamped EMIT
+        assert engine.now == self.EMIT
+        s_hat = 0.5 * engine.trace.window(engine.now, 1.0)[-1]
+        live.note_state_forecast(s_hat, horizon_s=self.HORIZON)
+        return s_hat
+
+    def test_forecast_joins_after_horizon_elapses(self, tmp_path, monkeypatch):
         live = live_session(tmp_path)
         engine = ClusterEngine()
-        engine.tick()  # give the watcher one sample
-        s_hat = np.zeros(engine.trace.window(engine.now, 1.0).shape[1])
-        live.note_state_forecast(s_hat, horizon_s=3.0)
-        engine.run_for(2.0)
-        assert live.drift.snapshot().get("system_state") is None
-        engine.run_for(2.0)  # watcher coverage passes emit + horizon
+        seen = self.spy_on_drift(live, monkeypatch)
+        s_hat = self.emit_forecast(live, engine)
+        due = self.EMIT + self.HORIZON
+        while engine.now < due:
+            engine.tick()
+        # The row stamped ``due`` exists, but the join waits a tick.
+        assert seen == []
+        engine.tick()
+        realized = engine.trace.horizon_mean(self.EMIT, self.HORIZON)
+        error = float(
+            np.mean(np.abs(s_hat - realized)) / (np.mean(np.abs(realized)) + 1e-9)
+        )
+        assert seen == [("system_state", error, due + engine.dt)]
         state = live.drift.snapshot()["system_state"]
         assert state["n"] == 1
-        assert np.isfinite(state["ewma"])
+        assert error > 0 and state["ewma"] == round(error, 6)
+
+    def test_dropped_last_horizon_row_drops_the_forecast(
+        self, tmp_path, monkeypatch
+    ):
+        # A certain dropout of the tick stamped ``due`` only: the fault
+        # injector's hook runs after the session's, so a join on the tick
+        # stamped ``due`` would score the row before the dropout.
+        due = self.EMIT + self.HORIZON
+        plan = FaultPlan(
+            faults=(
+                FaultSpec(kind="telemetry_dropout", start_s=due - 0.5,
+                          duration_s=1.0, params={"probability": 1.0}),
+            ),
+            seed=0,
+        )
+        live = live_session(tmp_path)
+        engine = ClusterEngine()
+        FaultInjector(plan, scenario_seed=0).attach(engine)
+        seen = self.spy_on_drift(live, monkeypatch)
+        self.emit_forecast(live, engine)
+        engine.run_for(due + 2.0 - engine.now)
+        rows, gap = engine.trace.metrics, engine.trace.times.index(due)
+        assert np.isnan(rows[gap]).all()
+        assert np.isfinite(np.delete(rows, gap, axis=0)).all()
+        [(stream, error, sim_time)] = seen
+        assert stream == "system_state" and np.isnan(error)
+        assert sim_time == due + engine.dt
+        assert "system_state" not in live.drift.snapshot()
+        dropped = obs.metrics().get("predictor_drift_dropped_observations_total")
+        assert dropped.labels(stream="system_state").snapshot() == 1.0
 
     def test_forecast_without_engine_is_dropped(self, tmp_path):
         live = live_session(tmp_path)
