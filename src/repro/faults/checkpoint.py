@@ -35,8 +35,6 @@ from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
-import numpy as np
-
 from repro.faults.errors import CheckpointError
 from repro.obs.fsio import atomic_write_text
 from repro.workloads.base import MemoryMode, WorkloadKind
@@ -204,7 +202,7 @@ def engine_state(engine) -> dict:
         ],
         "trace": {
             "times": list(engine.trace.times),
-            "rows": [row.tolist() for row in engine.trace._counter_rows],
+            "rows": engine.trace.metrics.tolist(),
             "concurrency": list(engine.trace.concurrency),
             "records": [
                 _fields_to_dict(r, kind=_value, mode=_value)
@@ -256,11 +254,10 @@ def load_engine_state(engine, data, profiles: dict) -> None:
         )
     engine.set_inflight(deployments)
     trace = require_fields(data["trace"], "trace", _TRACE_FIELDS)
-    engine.trace.times = list(trace["times"])
-    engine.trace._counter_rows = [
-        np.asarray(row, dtype=np.float64) for row in trace["rows"]
-    ]
-    engine.trace.concurrency = list(trace["concurrency"])
+    try:
+        engine.trace.extend(trace["times"], trace["rows"], trace["concurrency"])
+    except ValueError as exc:
+        raise CheckpointError(f"trace checkpoint part: {exc}") from None
     engine.trace.records = [
         dataclass_from_dict(
             DeploymentRecord, r, "record", kind=WorkloadKind, mode=MemoryMode

@@ -193,24 +193,24 @@ class FaultInjector:
 
     def _inject_telemetry(self, engine) -> None:
         """Corrupt the counter row the engine appended this tick."""
-        rows = engine.trace._counter_rows
-        if not rows:
+        if len(engine.trace) == 0:
             return
+        row = engine.trace.newest_row()
         dropout = self.active_fault(("telemetry_dropout",))
         if dropout is not None and (
             self.rng.random() < float(dropout.param("probability", 1.0))
         ):
-            rows[-1][:] = np.nan
+            row[:] = np.nan
             self.injected["telemetry_dropped_samples"] += 1
             self.count("telemetry_dropped_samples_total")
             return  # the whole sample is gone; nothing left to corrupt
         corrupt = self.active_fault(("telemetry_corrupt",))
         if corrupt is not None:
-            mask = self.rng.random(rows[-1].shape[0]) < float(
+            mask = self.rng.random(row.shape[0]) < float(
                 corrupt.param("probability", 1.0)
             )
             if mask.any():
-                rows[-1][mask] = np.nan
+                row[mask] = np.nan
                 n = int(mask.sum())
                 self.injected["telemetry_corrupted_values"] += n
                 self.count("telemetry_corrupted_values_total", n)

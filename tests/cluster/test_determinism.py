@@ -58,7 +58,7 @@ class TestSeededReproducibility:
         trace_b = run_scenario(other, scheduler=RoundRobinPolicy())
         assert trace_a.times != trace_b.times or any(
             not np.array_equal(x, y)
-            for x, y in zip(trace_a._counter_rows, trace_b._counter_rows)
+            for x, y in zip(trace_a.metrics, trace_b.metrics)
         )
 
     def test_counter_noise_reproducible_without_scheduler(self):
@@ -107,10 +107,10 @@ class TestFaultArmingInertness:
         )
         with active_plan(plan):
             faulted = run_scenario(CONFIG, scheduler=RandomPolicy(seed=9))
-        assert any(np.isnan(r).any() for r in faulted._counter_rows)
+        assert any(np.isnan(r).any() for r in faulted.metrics)
         # The context manager restored the no-plan state: this run is clean.
         clean = run_scenario(CONFIG, scheduler=RandomPolicy(seed=9))
-        assert all(np.isfinite(r).all() for r in clean._counter_rows)
+        assert all(np.isfinite(r).all() for r in clean.metrics)
 
     def test_offline_collection_never_injected(self):
         # scheduler=None is the offline trace-collection path; fault

@@ -7,6 +7,7 @@ deployments, failover ledger mid-flight) and still replay the remaining
 arrivals bit-identically to the uninterrupted run.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster.fleet_scenario import (
@@ -17,6 +18,7 @@ from repro.cluster.fleet_scenario import (
 )
 from repro.cluster.scenario import ScenarioConfig
 from repro.cluster.fleet import LeastLoadedPlacement
+from repro.cluster.trace import CHUNK_ROWS
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.runtime import active_plan
 from repro.hardware.pool import RemotePoolConfig
@@ -132,3 +134,59 @@ class TestCrashWindowStraddle:
         # step, so the rebuilt pool converges to the derated state.
         assert resumed.pool.device_capacity_factor == pytest.approx(0.5)
         assert_fleets_identical(full, resumed)
+
+
+class _Stop(Exception):
+    """Ends a resumed replay at its first placement."""
+
+
+def stop(profile, fleet):
+    raise _Stop
+
+
+#: n1 is down across the trace store's first chunk edge (rows 1,023 and
+#: 1,024) and a dropout blanks every node's rows across the second
+#: (rows 2,047 and 2,048); the run's only checkpoint comes after both.
+CHUNK_EDGE_PLAN = FaultPlan(
+    faults=(
+        FaultSpec(kind="node_crash", start_s=1000.0, duration_s=60.0,
+                  params={"node": "n1"}),
+        FaultSpec(kind="telemetry_dropout", start_s=2040.0, duration_s=20.0,
+                  params={"probability": 1.0}),
+    ),
+    seed=8,
+)
+
+
+class TestChunkEdgeRoundTrip:
+    def test_restore_and_save_again_is_byte_identical(self, tmp_path):
+        ckpt = tmp_path / "fleet.ckpt.json"
+        config = FleetScenarioConfig(
+            scenario=ScenarioConfig(
+                duration_s=2200.0, spawn_interval=(15.0, 30.0), seed=3
+            ),
+            n_nodes=3,
+            pool=RemotePoolConfig(regime="pooled"),
+        )
+        with active_plan(CHUNK_EDGE_PLAN):
+            run_fleet_scenario(
+                config, scheduler=scheduler(), checkpoint_path=ckpt,
+                checkpoint_every_s=2100.0,
+            )
+        engines = load_fleet_checkpoint(ckpt)["fleet"]["engines"]
+        rows = [np.array(engine["trace"]["rows"]) for engine in engines]
+        first, second = CHUNK_ROWS, 2 * CHUNK_ROWS
+        assert np.isnan(rows[1][first - 1 : first + 1]).all()
+        assert not np.isnan(rows[0][first - 1 : first + 1]).any()
+        for node_rows in rows:
+            assert len(node_rows) > second
+            assert np.isnan(node_rows[second - 1 : second + 1]).all()
+        again = tmp_path / "again.json"
+        # A resumed replay saves at its first arrival boundary, before
+        # placing anything: that file is the restored state re-saved.
+        with pytest.raises(_Stop):
+            resume_fleet_scenario(
+                ckpt, scheduler=stop, checkpoint_path=again,
+                checkpoint_every_s=0.0,
+            )
+        assert again.read_bytes() == ckpt.read_bytes()

@@ -90,7 +90,7 @@ class TestDeterminism:
         a, b = (engine.trace for engine in fleet.engines)
         rows_differ = any(
             not (ra == rb).all()
-            for ra, rb in zip(a._counter_rows, b._counter_rows)
+            for ra, rb in zip(a.metrics, b.metrics)
         )
         assert rows_differ  # per-node seeds: no mirrored counter noise
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import ScenarioConfig, Trace, run_scenario
+from repro.cluster.trace import CHUNK_ROWS
+from repro.hardware import METRIC_NAMES
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +50,31 @@ class TestTracePersistence:
         assert np.allclose(
             restored.horizon_mean(60.0, 60.0), trace.horizon_mean(60.0, 60.0)
         )
+
+    def test_multi_chunk_roundtrip_reads_equal(self, tmp_path):
+        rng = np.random.default_rng(4)
+        trace = Trace()
+        for i in range(2 * CHUNK_ROWS + 100):
+            row = rng.normal(size=len(METRIC_NAMES))
+            if i % 97 == 0:
+                row[:] = np.nan
+            trace.append(i + 1.0, row, i % 5)
+        path = tmp_path / "trace.npz"
+        trace.save(path)
+        restored = Trace.load(path)
+        assert restored.times == trace.times
+        assert restored.concurrency == trace.concurrency
+        assert np.array_equal(restored.metrics, trace.metrics, equal_nan=True)
+        for end in (CHUNK_ROWS + 50.0, 2 * CHUNK_ROWS + 10.0, len(trace) + 30.0):
+            assert np.array_equal(
+                restored.window(end, 120.0), trace.window(end, 120.0),
+                equal_nan=True,
+            )
+            assert np.array_equal(
+                restored.horizon_mean(end - 60.0, 120.0),
+                trace.horizon_mean(end - 60.0, 120.0),
+                equal_nan=True,
+            )
 
     def test_restored_trace_feeds_datasets(self, trace, tmp_path):
         from repro.models import build_system_state_dataset

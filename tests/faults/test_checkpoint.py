@@ -176,6 +176,21 @@ class TestStalePayloads:
     def test_trace_field_missing(self, ckpt):
         self.mutate(ckpt, lambda d: d["engine"]["trace"].pop("times"))
 
+    @pytest.mark.parametrize(
+        "strip, message",
+        [
+            (lambda trace: trace["rows"].pop(), "do not line up"),
+            (lambda trace: trace["rows"][0].pop(), "metric values"),
+        ],
+        ids=["row-missing", "row-too-short"],
+    )
+    def test_trace_rows_checked(self, ckpt, strip, message):
+        path, data = ckpt
+        strip(data["engine"]["trace"])
+        path.write_text(json.dumps(data))
+        with pytest.raises(CheckpointError, match=message):
+            resume_scenario(path, scheduler=RandomPolicy(seed=5))
+
 
 class TestManualSave:
     def test_save_mid_run_and_resume(self, tmp_path):

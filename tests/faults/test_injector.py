@@ -157,7 +157,7 @@ class TestTelemetryFaults:
         )
         injector.attach(engine)
         engine.run_for(40.0)
-        rows = engine.trace._counter_rows
+        rows = engine.trace.metrics
         times = engine.trace.times
         in_window = [r for t, r in zip(times, rows) if 5.0 <= t < 25.0 + 1.0]
         outside = [r for t, r in zip(times, rows) if t < 5.0 or t > 26.0]
@@ -178,17 +178,19 @@ class TestTelemetryFaults:
         )
         injector.attach(engine)
         engine.run_for(30.0)
-        nan_counts = [int(np.isnan(r).sum()) for r in engine.trace._counter_rows]
+        rows = engine.trace.metrics
+        nan_counts = [int(np.isnan(r).sum()) for r in rows]
         assert injector.injected["telemetry_corrupted_values"] == sum(nan_counts)
         assert sum(nan_counts) > 0
         # p = 0.3 should leave most rows partially intact.
-        assert any(0 < n < engine.trace._counter_rows[0].size for n in nan_counts)
+        assert any(0 < n < rows.shape[1] for n in nan_counts)
 
 
     def test_noise_free_rows_are_hit_one_tick_at_a_time(self):
         # Without counter noise a steady engine samples one noise-free
         # row, derived once for its unchanging pressure; the faults write
-        # the trace's copy in place and must leave every other tick whole.
+        # the trace's newest row in place and must leave every other tick
+        # whole.
         engine = ClusterEngine(
             testbed=Testbed(TestbedConfig(seed=0, counter_noise=0.0))
         )
@@ -207,7 +209,7 @@ class TestTelemetryFaults:
         )
         injector.attach(engine)
         engine.run_for(30.0)
-        rows = engine.trace._counter_rows
+        rows = engine.trace.metrics
         for time, row in zip(engine.trace.times, rows):
             if time in (10.0, 20.0):
                 assert np.isnan(row).all(), time
@@ -287,8 +289,7 @@ class TestInertness:
         injected.deploy(spark_profile("scan"), MemoryMode.REMOTE)
         injected.run_for(60.0)
 
-        for a, b in zip(plain.trace._counter_rows, injected.trace._counter_rows):
-            assert np.array_equal(a, b)
+        assert np.array_equal(plain.trace.metrics, injected.trace.metrics)
         assert plain.trace.times == injected.trace.times
         # The fault RNG was never consulted.
         assert injector.rng.bit_generator.state["state"] == rng_before
@@ -303,5 +304,4 @@ class TestInertness:
         injected = make_engine(seed=6)
         FaultInjector(plan_of(spec), scenario_seed=6).attach(injected)
         injected.run_for(50.0)
-        for a, b in zip(plain.trace._counter_rows, injected.trace._counter_rows):
-            assert np.array_equal(a, b)
+        assert np.array_equal(plain.trace.metrics, injected.trace.metrics)

@@ -4,7 +4,7 @@ One congested replay runs under counting wrappers around the layers a
 decision touches (window read, system-state forward, performance
 forward, LSTM rows).  The counts are deterministic for the seed, so
 they are asserted with ``==``: a second Ŝ forward per decision, a lost
-signature-encoding cache or a window read that stacks the whole trace
+signature-encoding cache or a window read that copies the whole trace
 each change them.
 """
 
@@ -25,7 +25,7 @@ from repro.obs.perf.profile import congested_adrias
 def replay():
     """Counts of one 300 s congested Adrias replay (tiny LSTMs)."""
     scenario, policy = congested_adrias(duration_s=300.0, hidden=4)
-    counts = {"lstm_rows": 0, "stacked": [], "apps": set()}
+    counts = {"lstm_rows": 0, "read": [], "apps": set()}
     patch = pytest.MonkeyPatch()
 
     def count(owner, attr, note=None):
@@ -49,7 +49,7 @@ def replay():
     count(Predictor, "predict_both_modes",
           lambda args, result: counts["apps"].add(args[1].name))
     count(Trace, "window")
-    count(Trace, "_rows", lambda args, result: counts["stacked"].append(len(result)))
+    count(Trace, "_read", lambda args, result: counts["read"].append(len(result)))
     count(SystemStatePredictor, "predict")
     count(PerformancePredictor, "predict")
     count(LSTM, "forward", lstm_rows)
@@ -72,11 +72,11 @@ def test_the_replay_makes_decisions(replay):
 
 def test_one_window_read_per_prediction(replay):
     assert replay["Trace.window"] == predictions(replay)
-    assert replay["Trace._rows"] == replay["Trace.window"]
+    assert replay["Trace._read"] == replay["Trace.window"]
 
 
 def test_no_read_stacks_more_than_the_window(replay):
-    assert max(replay["stacked"]) == replay["history_raw_steps"]
+    assert max(replay["read"]) == replay["history_raw_steps"]
 
 
 def test_one_forward_of_each_model_per_prediction(replay):
