@@ -6,15 +6,15 @@ Top-level packages
 ``repro.nn``
     Numpy deep-learning library (LSTM, dense blocks, Adam, ...).
 ``repro.hardware``
-    ThymesisFlow-style disaggregated-memory testbed simulator.
+    ThymesisFlow-style disaggregated-memory testbed simulator, including
+    the seven performance events the Watcher monitors
+    (``repro.hardware.counters``).
 ``repro.workloads``
     Redis / Memcached / Spark-HiBench / iBench workload models and the
     memtier-style load generator.
 ``repro.cluster``
-    Discrete-time cluster engine, scenario generation and tracing.
-``repro.telemetry``
-    The Watcher's catalog of the seven monitored performance events
-    (the samples themselves are the cluster trace's counter rows).
+    Discrete-time cluster engine, scenario generation and tracing; the
+    trace's counter rows are the Watcher's samples.
 ``repro.models``
     The Predictor: system-state and performance LSTM models, feature
     pipelines and datasets.

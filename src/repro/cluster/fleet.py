@@ -54,10 +54,6 @@ class FleetDecision:
     mode: MemoryMode
 
 
-#: A fleet scheduler maps (profile, fleet) -> FleetDecision.
-FleetScheduler = Callable[[WorkloadProfile, "ClusterFleet"], FleetDecision]
-
-
 class ClusterFleet:
     """N disaggregated nodes under one fleet clock and shared rack pool."""
 

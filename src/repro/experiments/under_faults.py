@@ -56,15 +56,6 @@ def sample_plan_for(scale: ExperimentScale) -> FaultPlan:
     return FaultPlan.sample(seed=scale.seed, duration_s=scale.eval_duration_s)
 
 
-def _breaker_arc(policy: AdriasPolicy) -> str:
-    """Compact ``closed->open@t ...`` rendering of the breaker history."""
-    if not policy.breaker.transitions:
-        return "(no transitions)"
-    return " ".join(
-        f"{old}->{new}@{t:.0f}s" for t, old, new in policy.breaker.transitions
-    )
-
-
 @dataclass(frozen=True)
 class Fig16FaultsResult:
     plan: FaultPlan

@@ -35,8 +35,6 @@ from repro.faults.errors import InferenceTimeout
 from repro.faults.plan import (
     FLEET_KINDS,
     LINK_KINDS,
-    PREDICTOR_KINDS,
-    TELEMETRY_KINDS,
     FaultPlan,
     FaultSpec,
 )
@@ -242,12 +240,3 @@ class FaultInjector:
         self.rng.bit_generator.state = data["rng_state"]
         self._active = set(data["active"])
         self.injected.update(data["injected"])
-
-    # -- predictor faults (used as an attached set by Predictor) ------------
-    @property
-    def targets_predictor(self) -> bool:
-        return any(s.kind in PREDICTOR_KINDS for s in self.plan.faults)
-
-    @property
-    def targets_telemetry(self) -> bool:
-        return any(s.kind in TELEMETRY_KINDS for s in self.plan.faults)

@@ -163,8 +163,6 @@ FAULT_KINDS: tuple[str, ...] = tuple(_PARAM_SCHEMAS)
 
 #: Fault kinds grouped by the subsystem they target.
 LINK_KINDS = ("link_degrade", "link_outage")
-TELEMETRY_KINDS = ("telemetry_dropout", "telemetry_corrupt")
-PREDICTOR_KINDS = ("predictor_nan", "predictor_delay")
 #: Trainer-side kinds; windows run on the epoch / retrain-attempt clock.
 TRAINER_KINDS = ("nan_grad", "ckpt_write_fail", "retrain_timeout")
 #: Daemon-side kinds; windows run on the serving daemon's fleet clock.

@@ -17,15 +17,18 @@ import numpy as np
 
 __all__ = ["METRIC_NAMES", "PerfCounters", "CounterSynthesizer", "as_counter_row"]
 
-#: Canonical metric ordering (matches Table I of the paper).
+#: Canonical metric ordering (matches Table I of the paper).  Each entry
+#: notes the paper's symbol, the unit and the source: ``cpu`` events are
+#: perf counters of the borrower node, ``fpga`` events are channel
+#: metrics of the ThymesisFlow FPGAs.
 METRIC_NAMES: tuple[str, ...] = (
-    "llc_loads",
-    "llc_misses",
-    "mem_loads",
-    "mem_stores",
-    "rmt_tx_flits",
-    "rmt_rx_flits",
-    "link_latency",
+    "llc_loads",     # LLC_ld, events/s, cpu: last-level cache loads
+    "llc_misses",    # LLC_mis, events/s, cpu: last-level cache misses
+    "mem_loads",     # MEM_ld, events/s, cpu: DRAM loads incl. reflected remote
+    "mem_stores",    # MEM_st, events/s, cpu: DRAM stores
+    "rmt_tx_flits",  # RMT_tx, flits/s, fpga: 32 B flits sent on the channel
+    "rmt_rx_flits",  # RMT_rx, flits/s, fpga: 32 B flits received on the channel
+    "link_latency",  # RMT_lat, cycles, fpga: mean channel latency
 )
 
 

@@ -2,39 +2,26 @@
 
 From-scratch replacement for the PyTorch subset the Adrias paper uses:
 LSTM encoders, dense blocks (Linear + ReLU + BatchNorm + Dropout), MSE
-training with Adam, LR scheduling, gradient clipping and early stopping.
+training with Adam, gradient clipping and early stopping.
 
 All layers implement an explicit ``forward``/``backward`` pair (see
 :class:`repro.nn.Module`); gradients are exact and covered by numerical
 gradient checks in the test suite.
 """
 
-from repro.nn.activations import Identity, LeakyReLU, ReLU, Sigmoid, Tanh
-from repro.nn.clipping import clip_grad_norm, clip_grad_value
-from repro.nn.data import (
-    DataLoader,
-    MinMaxScaler,
-    StandardScaler,
-    TensorDataset,
-    train_test_split,
-)
+from repro.nn.activations import ReLU
+from repro.nn.clipping import clip_grad_norm
+from repro.nn.data import DataLoader, StandardScaler, TensorDataset
 from repro.nn.gru import GRU, StackedGRU
 from repro.nn.linear import Linear
-from repro.nn.losses import HuberLoss, Loss, MAELoss, MSELoss
-from repro.nn.metrics import explained_variance, mae, mape, pearson, r2_score, rmse
+from repro.nn.losses import MSELoss
+from repro.nn.metrics import mae, pearson, r2_score
 from repro.nn.module import Module, Sequential
-from repro.nn.normalization import BatchNorm1d, LayerNorm
-from repro.nn.optim import SGD, Adam, Optimizer, RMSprop
+from repro.nn.normalization import BatchNorm1d
+from repro.nn.optim import Adam
 from repro.nn.parameter import Parameter
 from repro.nn.recurrent import LSTM, StackedLSTM
 from repro.nn.regularization import Dropout
-from repro.nn.schedulers import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    ReduceLROnPlateau,
-    Scheduler,
-    StepLR,
-)
 from repro.nn.resilience import (
     CheckpointManager,
     CheckpointWriteError,
@@ -47,13 +34,7 @@ from repro.nn.resilience import (
     capture_fit_state,
     restore_fit_state,
 )
-from repro.nn.serialization import (
-    ModelFormatError,
-    load_model,
-    load_state,
-    save_model,
-    save_state,
-)
+from repro.nn.serialization import ModelFormatError, load_state, save_state
 from repro.nn.training import EarlyStopping, History, NonFiniteLossError, Trainer
 
 __all__ = [
@@ -63,59 +44,35 @@ __all__ = [
     "CheckpointWriteError",
     "GRU",
     "StackedGRU",
-    "CosineAnnealingLR",
     "DataLoader",
     "DivergenceError",
     "DivergenceGuard",
     "Dropout",
     "EarlyStopping",
-    "ExponentialLR",
     "FitCheckpointError",
     "FitState",
     "History",
-    "HuberLoss",
-    "Identity",
     "LSTM",
-    "LayerNorm",
-    "LeakyReLU",
     "Linear",
-    "Loss",
-    "MAELoss",
     "MSELoss",
-    "MinMaxScaler",
     "ModelFormatError",
     "Module",
     "NonFiniteLossError",
-    "Optimizer",
     "Parameter",
-    "RMSprop",
     "ReLU",
     "RecoveryPolicy",
-    "ReduceLROnPlateau",
-    "SGD",
-    "Scheduler",
     "Sequential",
-    "Sigmoid",
     "StackedLSTM",
     "StandardScaler",
-    "StepLR",
-    "Tanh",
     "TensorDataset",
     "Trainer",
     "TrainingDivergedError",
     "capture_fit_state",
     "clip_grad_norm",
-    "clip_grad_value",
-    "explained_variance",
-    "load_model",
     "load_state",
     "mae",
-    "mape",
     "pearson",
     "r2_score",
     "restore_fit_state",
-    "rmse",
-    "save_model",
     "save_state",
-    "train_test_split",
 ]

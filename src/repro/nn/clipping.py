@@ -1,4 +1,4 @@
-"""Gradient clipping utilities for stable BPTT over long windows."""
+"""Gradient-norm clipping for stable BPTT over long windows."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.parameter import Parameter
 
-__all__ = ["clip_grad_norm", "clip_grad_value"]
+__all__ = ["clip_grad_norm"]
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
@@ -26,11 +26,3 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
         for param in params:
             param.grad *= scale
     return total_norm
-
-
-def clip_grad_value(params: Iterable[Parameter], clip_value: float) -> None:
-    """Clamp every gradient element into ``[-clip_value, clip_value]``."""
-    if clip_value <= 0:
-        raise ValueError("clip_value must be positive")
-    for param in params:
-        np.clip(param.grad, -clip_value, clip_value, out=param.grad)

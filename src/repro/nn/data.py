@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-__all__ = [
-    "TensorDataset",
-    "DataLoader",
-    "StandardScaler",
-    "MinMaxScaler",
-    "train_test_split",
-]
+__all__ = ["TensorDataset", "DataLoader", "StandardScaler"]
 
 
 class TensorDataset:
@@ -42,10 +36,6 @@ class TensorDataset:
     def __getitem__(self, index) -> tuple[np.ndarray, ...]:
         return tuple(a[index] for a in self.arrays)
 
-    def subset(self, indices: Sequence[int]) -> "TensorDataset":
-        indices = np.asarray(indices)
-        return TensorDataset(*(a[indices] for a in self.arrays))
-
 
 class DataLoader:
     """Mini-batch iterator with optional shuffling.
@@ -60,7 +50,6 @@ class DataLoader:
         batch_size: int = 32,
         shuffle: bool = False,
         rng: np.random.Generator | None = None,
-        drop_last: bool = False,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -68,23 +57,12 @@ class DataLoader:
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.drop_last = drop_last
-
-    def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, ...]]:
         n = len(self.dataset)
         order = self.rng.permutation(n) if self.shuffle else np.arange(n)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, stop, self.batch_size):
-            batch = order[start : start + self.batch_size]
-            if self.drop_last and batch.size < self.batch_size:
-                break
-            yield self.dataset[batch]
+        for start in range(0, n, self.batch_size):
+            yield self.dataset[order[start : start + self.batch_size]]
 
 
 class StandardScaler:
@@ -119,65 +97,3 @@ class StandardScaler:
         if self.mean_ is None or self.scale_ is None:
             raise RuntimeError("scaler must be fit before inverse_transform")
         return np.asarray(x, dtype=np.float64) * self.scale_ + self.mean_
-
-    def state(self) -> dict[str, np.ndarray]:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("scaler must be fit before saving state")
-        return {"mean": self.mean_.copy(), "scale": self.scale_.copy()}
-
-    @classmethod
-    def from_state(cls, state: dict[str, np.ndarray]) -> "StandardScaler":
-        scaler = cls()
-        scaler.mean_ = np.asarray(state["mean"], dtype=np.float64)
-        scaler.scale_ = np.asarray(state["scale"], dtype=np.float64)
-        return scaler
-
-
-class MinMaxScaler:
-    """Scale features into ``[0, 1]`` over the trailing feature axis."""
-
-    def __init__(self) -> None:
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, x: np.ndarray) -> "MinMaxScaler":
-        x = np.asarray(x, dtype=np.float64)
-        axes = tuple(range(x.ndim - 1))
-        self.min_ = x.min(axis=axes)
-        span = x.max(axis=axes) - self.min_
-        self.range_ = np.where(span > 1e-12, span, 1.0)
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("scaler must be fit before transform")
-        return (np.asarray(x, dtype=np.float64) - self.min_) / self.range_
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)
-
-    def inverse_transform(self, x: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("scaler must be fit before inverse_transform")
-        return np.asarray(x, dtype=np.float64) * self.range_ + self.min_
-
-
-def train_test_split(
-    dataset: TensorDataset,
-    test_fraction: float = 0.4,
-    rng: np.random.Generator | None = None,
-    shuffle: bool = True,
-) -> tuple[TensorDataset, TensorDataset]:
-    """Split a dataset; the paper uses 60% train / 40% test (§VI-A)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    n = len(dataset)
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    order = rng.permutation(n) if shuffle else np.arange(n)
-    n_test = max(1, int(round(n * test_fraction)))
-    n_test = min(n_test, n - 1)
-    test_idx = order[:n_test]
-    train_idx = order[n_test:]
-    return dataset.subset(train_idx), dataset.subset(test_idx)

@@ -10,15 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "xavier_uniform",
-    "xavier_normal",
-    "he_uniform",
-    "he_normal",
-    "orthogonal",
-    "zeros",
-    "uniform",
-]
+__all__ = ["xavier_uniform", "he_uniform", "orthogonal"]
 
 
 def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -38,23 +30,11 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He et al. (2015) uniform init; default for ReLU blocks."""
     fan_in, _ = _fan_in_out(shape)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
-
-
-def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, _ = _fan_in_out(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
 
 
 def orthogonal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -73,16 +53,3 @@ def orthogonal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     if rows < cols:
         q = q.T
     return q[:rows, :cols].copy()
-
-
-def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
-    return np.zeros(shape)
-
-
-def uniform(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    low: float = -0.1,
-    high: float = 0.1,
-) -> np.ndarray:
-    return rng.uniform(low, high, size=shape)

@@ -12,7 +12,7 @@ __all__ = ["Linear"]
 
 
 class Linear(Module):
-    """Affine transform ``y = x @ W.T + b``.
+    """Affine transform ``y = x @ W.T + b`` with He-uniform weights.
 
     Accepts inputs of shape ``(..., in_features)``; leading axes are
     treated as batch dimensions, which lets the same layer project both
@@ -23,19 +23,18 @@ class Linear(Module):
         self,
         in_features: int,
         out_features: int,
-        bias: bool = True,
-        init: str = "he_uniform",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("Linear features must be positive")
         rng = rng if rng is not None else np.random.default_rng(0)
-        init_fn = getattr(initializers, init)
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = Parameter(init_fn((out_features, in_features), rng), "weight")
-        self.bias = Parameter(np.zeros(out_features), "bias") if bias else None
+        self.weight = Parameter(
+            initializers.he_uniform((out_features, in_features), rng), "weight"
+        )
+        self.bias = Parameter(np.zeros(out_features), "bias")
         self._input: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -47,10 +46,7 @@ class Linear(Module):
         # Inference mode skips the backward cache so repeated online
         # predictions do not pin the last input batch in memory.
         self._input = None if self.inference else x
-        out = x @ self.weight.value.T
-        if self.bias is not None:
-            out = out + self.bias.value
-        return out
+        return x @ self.weight.value.T + self.bias.value
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._input is None:
@@ -64,6 +60,5 @@ class Linear(Module):
         flat_x = x.reshape(-1, self.in_features)
         flat_g = np.asarray(grad, dtype=np.float64).reshape(-1, self.out_features)
         self.weight.accumulate(flat_g.T @ flat_x)
-        if self.bias is not None:
-            self.bias.accumulate(flat_g.sum(axis=0))
+        self.bias.accumulate(flat_g.sum(axis=0))
         return (flat_g @ self.weight.value).reshape(x.shape)

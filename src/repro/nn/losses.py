@@ -1,7 +1,7 @@
-"""Regression losses.
+"""The regression loss.
 
-Each loss exposes ``forward(pred, target) -> float`` and
-``backward() -> dL/dpred``; they plug into the same explicit-backward
+The loss exposes ``forward(pred, target) -> float`` and
+``backward() -> dL/dpred``; it plugs into the same explicit-backward
 pipeline as the layers.
 """
 
@@ -9,21 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Loss", "MSELoss", "MAELoss", "HuberLoss"]
+__all__ = ["MSELoss"]
 
 
-class Loss:
+class MSELoss:
+    """Mean squared error — the training loss for both Adrias models."""
+
+    def __init__(self) -> None:
+        self._diff: np.ndarray | None = None
+
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def backward(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def __call__(self, pred: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(pred, target)
-
-    @staticmethod
-    def _check(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pred = np.asarray(pred, dtype=np.float64)
         target = np.asarray(target, dtype=np.float64)
         if pred.shape != target.shape:
@@ -32,17 +27,6 @@ class Loss:
             )
         if pred.size == 0:
             raise ValueError("loss of empty arrays is undefined")
-        return pred, target
-
-
-class MSELoss(Loss):
-    """Mean squared error — the training loss for both Adrias models."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred, target = self._check(pred, target)
         self._diff = pred - target
         return float(np.mean(self._diff**2))
 
@@ -50,44 +34,3 @@ class MSELoss(Loss):
         if self._diff is None:
             raise RuntimeError("backward called before forward")
         return 2.0 * self._diff / self._diff.size
-
-
-class MAELoss(Loss):
-    """Mean absolute error; reported per benchmark in Fig. 13c / Fig. 14a."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred, target = self._check(pred, target)
-        self._diff = pred - target
-        return float(np.mean(np.abs(self._diff)))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return np.sign(self._diff) / self._diff.size
-
-
-class HuberLoss(Loss):
-    """Smooth-L1 loss; robust option for heavy-tailed latency targets."""
-
-    def __init__(self, delta: float = 1.0) -> None:
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        self.delta = delta
-        self._diff: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred, target = self._check(pred, target)
-        self._diff = pred - target
-        abs_diff = np.abs(self._diff)
-        quad = np.minimum(abs_diff, self.delta)
-        return float(np.mean(0.5 * quad**2 + self.delta * (abs_diff - quad)))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return (
-            np.clip(self._diff, -self.delta, self.delta) / self._diff.size
-        )

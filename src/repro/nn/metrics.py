@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["r2_score", "mae", "rmse", "mape", "pearson", "explained_variance"]
+__all__ = ["r2_score", "mae", "pearson"]
 
 
 def _prepare(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,19 +41,6 @@ def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(np.abs(y_true - y_pred)))
 
 
-def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _prepare(y_true, y_pred)
-    return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
-
-
-def mape(y_true: np.ndarray, y_pred: np.ndarray, eps: float = 1e-12) -> float:
-    """Mean absolute percentage error; undefined targets are guarded by eps."""
-    y_true, y_pred = _prepare(y_true, y_pred)
-    return float(
-        np.mean(np.abs(y_true - y_pred) / np.maximum(np.abs(y_true), eps))
-    )
-
-
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation coefficient; 0.0 when either input is constant.
 
@@ -70,11 +57,3 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.sum(xc * yc) / denom)
-
-
-def explained_variance(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _prepare(y_true, y_pred)
-    var_true = float(np.var(y_true))
-    if var_true == 0.0:
-        return 1.0 if np.allclose(y_true, y_pred) else 0.0
-    return 1.0 - float(np.var(y_true - y_pred)) / var_true

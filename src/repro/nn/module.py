@@ -36,11 +36,6 @@ class Module:
         self._modules: dict[str, "Module"] = {}
 
     # -- registration -------------------------------------------------
-    def register_parameter(self, name: str, param: Parameter) -> Parameter:
-        param.name = name
-        self._parameters[name] = param
-        return param
-
     def register_module(self, name: str, module: "Module") -> "Module":
         self._modules[name] = module
         return module
@@ -122,7 +117,7 @@ class Module:
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         """Load values saved by :meth:`state_dict`; shapes must match."""
         own = dict(self.named_parameters())
-        buffers = dict(self.named_buffers_mutable())
+        buffers = dict(self.named_buffers())
         for key, value in state.items():
             if key in own:
                 target = own[key].value
@@ -148,10 +143,6 @@ class Module:
         for child_name, child in self._modules.items():
             yield from child.named_buffers(prefix=f"{prefix}{child_name}.")
 
-    def named_buffers_mutable(self) -> Iterator[tuple[str, np.ndarray]]:
-        # Same as named_buffers; separate name documents in-place mutation intent.
-        yield from self.named_buffers()
-
     def register_buffer(self, name: str, value: np.ndarray) -> np.ndarray:
         self.__dict__.setdefault("_buffers", {})[name] = value
         object.__setattr__(self, name, value)
@@ -166,11 +157,6 @@ class Sequential(Module):
         self.layers = list(layers)
         for i, layer in enumerate(self.layers):
             self.register_module(str(i), layer)
-
-    def append(self, layer: Module) -> "Sequential":
-        self.register_module(str(len(self.layers)), layer)
-        self.layers.append(layer)
-        return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:

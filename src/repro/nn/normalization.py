@@ -13,7 +13,7 @@ import numpy as np
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 
-__all__ = ["BatchNorm1d", "LayerNorm"]
+__all__ = ["BatchNorm1d"]
 
 
 class BatchNorm1d(Module):
@@ -87,45 +87,4 @@ class BatchNorm1d(Module):
             return dx_hat / std
         return (
             dx_hat - dx_hat.mean(axis=0) - x_hat * (dx_hat * x_hat).mean(axis=0)
-        ) / std
-
-
-class LayerNorm(Module):
-    """Normalize over the last axis; batch-size independent alternative."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5) -> None:
-        super().__init__()
-        if num_features <= 0:
-            raise ValueError("num_features must be positive")
-        self.num_features = num_features
-        self.eps = eps
-        self.gamma = Parameter(np.ones(num_features), "gamma")
-        self.beta = Parameter(np.zeros(num_features), "beta")
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.num_features:
-            raise ValueError(
-                f"LayerNorm expected last axis {self.num_features}, got {x.shape[-1]}"
-            )
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        std = np.sqrt(var + self.eps)
-        x_hat = (x - mean) / std
-        self._cache = (x_hat, std)
-        return self.gamma.value * x_hat + self.beta.value
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, std = self._cache
-        axes = tuple(range(grad.ndim - 1))
-        self.gamma.accumulate((grad * x_hat).sum(axis=axes))
-        self.beta.accumulate(grad.sum(axis=axes))
-        dx_hat = grad * self.gamma.value
-        return (
-            dx_hat
-            - dx_hat.mean(axis=-1, keepdims=True)
-            - x_hat * (dx_hat * x_hat).mean(axis=-1, keepdims=True)
         ) / std

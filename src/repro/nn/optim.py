@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers operating on :class:`Parameter` objects."""
+"""The Adam optimizer, operating on :class:`Parameter` objects."""
 
 from __future__ import annotations
 
@@ -8,64 +8,69 @@ import numpy as np
 
 from repro.nn.parameter import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "RMSprop"]
+__all__ = ["Adam"]
 
 
-class Optimizer:
-    """Base optimizer; subclasses implement :meth:`_update_one`.
+class Adam:
+    """Adam (Kingma & Ba, 2015) — the optimizer used to train both models.
 
-    Optimizers are checkpointable: :meth:`state_dict` captures the LR,
-    any scalar bookkeeping (:meth:`_extra_state`) and every per-parameter
-    slot array (:meth:`_slots` — momentum/moment buffers), so a training
-    run restored from a checkpoint continues bit-identically.
+    Adam is checkpointable: :meth:`state_dict` captures the LR, the step
+    count and both moment buffers of every parameter, so a training run
+    restored from a checkpoint continues bit-identically.
     """
 
-    def __init__(self, params: Iterable[Parameter], lr: float) -> None:
+    def __init__(
+        self,
+        params: Iterable[Parameter],
+        lr: float = 1e-3,
+        betas: tuple[float, float] = (0.9, 0.999),
+        eps: float = 1e-8,
+    ) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.params = list(params)
         if not self.params:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
+        beta1, beta2 = betas
+        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
+            raise ValueError("betas must be in [0, 1)")
+        self.beta1, self.beta2 = beta1, beta2
+        self.eps = eps
+        self._m = [np.zeros_like(p.value) for p in self.params]
+        self._v = [np.zeros_like(p.value) for p in self.params]
+        self._t = 0
 
     def zero_grad(self) -> None:
         for param in self.params:
             param.zero_grad()
 
     def step(self) -> None:
-        for index, param in enumerate(self.params):
-            self._update_one(index, param)
-
-    def _update_one(self, index: int, param: Parameter) -> None:
-        raise NotImplementedError
+        self._t += 1
+        for param, m, v in zip(self.params, self._m, self._v):
+            grad = param.grad
+            m[...] = self.beta1 * m + (1 - self.beta1) * grad
+            v[...] = self.beta2 * v + (1 - self.beta2) * grad**2
+            m_hat = m / (1 - self.beta1**self._t)
+            v_hat = v / (1 - self.beta2**self._t)
+            param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     # -- checkpointing -------------------------------------------------------
-    def _slots(self) -> dict[str, list[np.ndarray]]:
-        """Live per-parameter slot buffers, by slot name (no copies)."""
-        return {}
-
-    def _extra_state(self) -> dict:
-        """JSON-safe scalar state beyond the LR (e.g. Adam's step count)."""
-        return {}
-
-    def _load_extra(self, extra: dict) -> None:
-        pass
-
     def state_dict(self) -> dict:
-        """Copies of the LR, scalar state and slot buffers."""
+        """Copies of the LR, the step count and the moment buffers."""
         return {
             "lr": self.lr,
-            "extra": dict(self._extra_state()),
+            "extra": {"t": self._t},
             "slots": {
-                name: [a.copy() for a in arrays]
-                for name, arrays in self._slots().items()
+                "m": [a.copy() for a in self._m],
+                "v": [a.copy() for a in self._v],
             },
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output; slot shapes must match."""
         slots = state.get("slots", {})
-        own = self._slots()
+        own = {"m": self._m, "v": self._v}
         if set(slots) != set(own):
             raise ValueError(
                 f"optimizer slot mismatch: saved {sorted(slots)}, "
@@ -87,106 +92,4 @@ class Optimizer:
                     )
                 target[...] = value
         self.lr = float(state["lr"])
-        self._load_extra(state.get("extra", {}))
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        if momentum < 0 or weight_decay < 0:
-            raise ValueError("momentum and weight_decay must be non-negative")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
-
-    def _update_one(self, index: int, param: Parameter) -> None:
-        grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.value
-        if self.momentum:
-            self._velocity[index] = self.momentum * self._velocity[index] + grad
-            grad = self._velocity[index]
-        param.value -= self.lr * grad
-
-    def _slots(self) -> dict[str, list[np.ndarray]]:
-        return {"velocity": self._velocity}
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) — the optimizer used to train both models."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(params, lr)
-        beta1, beta2 = betas
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ValueError("betas must be in [0, 1)")
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        super().step()
-
-    def _update_one(self, index: int, param: Parameter) -> None:
-        grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.value
-        m = self._m[index]
-        v = self._v[index]
-        m[...] = self.beta1 * m + (1 - self.beta1) * grad
-        v[...] = self.beta2 * v + (1 - self.beta2) * grad**2
-        m_hat = m / (1 - self.beta1**self._t)
-        v_hat = v / (1 - self.beta2**self._t)
-        param.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _slots(self) -> dict[str, list[np.ndarray]]:
-        return {"m": self._m, "v": self._v}
-
-    def _extra_state(self) -> dict:
-        return {"t": self._t}
-
-    def _load_extra(self, extra: dict) -> None:
-        self._t = int(extra["t"])
-
-
-class RMSprop(Optimizer):
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-3,
-        alpha: float = 0.99,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0 <= alpha < 1:
-            raise ValueError("alpha must be in [0, 1)")
-        self.alpha = alpha
-        self.eps = eps
-        self._sq = [np.zeros_like(p.value) for p in self.params]
-
-    def _update_one(self, index: int, param: Parameter) -> None:
-        sq = self._sq[index]
-        sq[...] = self.alpha * sq + (1 - self.alpha) * param.grad**2
-        param.value -= self.lr * param.grad / (np.sqrt(sq) + self.eps)
-
-    def _slots(self) -> dict[str, list[np.ndarray]]:
-        return {"sq": self._sq}
+        self._t = int(state["extra"]["t"])

@@ -5,8 +5,8 @@ This module hardens :meth:`repro.nn.Trainer.fit` (the engine under the
 classes that previously destroyed a run:
 
 * **Crashes** — :class:`CheckpointManager` serializes the *complete*
-  epoch-boundary fit state (model parameters and buffers, optimizer
-  slot buffers and step counts, LR-scheduler progress, early-stopping
+  epoch-boundary fit state (model parameters and buffers, the
+  optimizer's LR, moment buffers and step count, early-stopping
   bookkeeping incl. the best-weights snapshot, the loss history and
   every RNG the loop consumes — the DataLoader's shuffle generator and
   the model's dropout generators) to a single atomically-replaced file.
@@ -98,7 +98,6 @@ class RecoveryPolicy:
     min_lr: float = 1e-7
     spike_factor: float | None = 50.0
     spike_window: int = 5
-    check_params: bool = True
 
     def __post_init__(self) -> None:
         if self.max_recoveries < 1:
@@ -118,7 +117,6 @@ class FitState:
     epoch_next: int
     model: dict[str, np.ndarray]
     optimizer: dict
-    scheduler: dict | None
     early_stopping: dict | None
     history_train: list[float]
     history_val: list[float]
@@ -167,10 +165,6 @@ def capture_fit_state(
         epoch_next=epoch_next,
         model=trainer.model.state_dict(),
         optimizer=trainer.optimizer.state_dict(),
-        scheduler=(
-            trainer.scheduler.state_dict()
-            if trainer.scheduler is not None else None
-        ),
         early_stopping=(
             early_stopping.state_dict() if early_stopping is not None else None
         ),
@@ -190,13 +184,6 @@ def restore_fit_state(trainer, train_loader, history, early_stopping,
     """Rewind a trainer (and its companions) to ``state``, in place."""
     trainer.model.load_state_dict(state.model)
     trainer.optimizer.load_state_dict(state.optimizer)
-    if (trainer.scheduler is None) != (state.scheduler is None):
-        raise FitCheckpointError(
-            "checkpoint/trainer scheduler mismatch: one has a scheduler, "
-            "the other does not"
-        )
-    if trainer.scheduler is not None:
-        trainer.scheduler.load_state_dict(state.scheduler)
     if (early_stopping is None) != (state.early_stopping is None):
         raise FitCheckpointError(
             "checkpoint/trainer early-stopping mismatch: one tracks early "
@@ -252,7 +239,6 @@ def encode_fit_state(state: FitState) -> bytes:
             "extra": state.optimizer.get("extra", {}),
             "slots": slot_shapes,
         },
-        "scheduler": state.scheduler,
         "early_stopping": es_meta,
         "history_train": state.history_train,
         "history_val": state.history_val,
@@ -327,7 +313,6 @@ def decode_fit_state(blob: bytes) -> FitState:
         epoch_next=int(meta["epoch_next"]),
         model=model,
         optimizer=optimizer,
-        scheduler=meta["scheduler"],
         early_stopping=early_stopping,
         history_train=[float(x) for x in meta["history_train"]],
         history_val=[float(x) for x in meta["history_val"]],
@@ -421,13 +406,10 @@ class CheckpointManager:
 class DivergenceGuard:
     """Rollback + LR-reduction recovery loop around ``Trainer.fit``."""
 
-    def __init__(self, policy: RecoveryPolicy, name: str = "model",
-                 recoveries: int = 0) -> None:
+    def __init__(self, policy: RecoveryPolicy, name: str = "model") -> None:
         self.policy = policy
         self.name = name
-        self.recoveries = recoveries
-        #: (epoch, cause, new_lr) recovery history for audit/tests.
-        self.events: list[tuple[int, str, float]] = []
+        self.recoveries = 0
 
     def check(self, model, train_loss: float, history) -> None:
         """Raise :class:`DivergenceError` on blown-up parameters/losses.
@@ -437,12 +419,11 @@ class DivergenceGuard:
         reached the parameters on the final batches and loss spikes.
         """
         policy = self.policy
-        if policy.check_params:
-            for param in model.parameters():
-                if not np.all(np.isfinite(param.value)):
-                    raise DivergenceError(
-                        f"non-finite values in parameter {param.name!r}"
-                    )
+        for param in model.parameters():
+            if not np.all(np.isfinite(param.value)):
+                raise DivergenceError(
+                    f"non-finite values in parameter {param.name!r}"
+                )
         if policy.spike_factor is not None and history.train_loss:
             recent = history.train_loss[-policy.spike_window:]
             reference = float(np.median(recent))
@@ -494,14 +475,6 @@ class DivergenceGuard:
         new_lr = max(trainer.optimizer.lr * self.policy.lr_factor,
                      self.policy.min_lr)
         trainer.optimizer.lr = new_lr
-        if trainer.scheduler is not None:
-            # Schedulers recompute the LR from base_lr every step, so the
-            # reduction must land there or the next step would undo it.
-            trainer.scheduler.base_lr = max(
-                trainer.scheduler.base_lr * self.policy.lr_factor,
-                self.policy.min_lr,
-            )
-        self.events.append((epoch, type(error).__name__, new_lr))
         if obs.enabled():
             obs.metrics().counter(
                 "nn_divergence_recoveries_total",

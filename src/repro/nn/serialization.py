@@ -2,9 +2,9 @@
 
 Archives are written *atomically* (temp file + ``os.replace``) and carry
 a format-version header plus a content digest, so a crash mid-save can
-never leave a truncated file behind and a corrupted file fails loudly
-with :class:`ModelFormatError` instead of loading garbage.  Archives
-written by earlier versions (no header) still load.
+never leave a truncated file behind and a corrupted, headerless or
+newer-format file fails loudly with :class:`ModelFormatError` instead of
+loading garbage.
 
 :func:`save_state`/:func:`load_state` operate on raw state dicts and are
 shared by the model wrappers (:class:`~repro.models.performance
@@ -21,14 +21,11 @@ import zipfile
 
 import numpy as np
 
-from repro.nn.module import Module
 from repro.obs.fsio import atomic_write_bytes
 
 __all__ = [
     "ModelFormatError",
     "MODEL_FORMAT_VERSION",
-    "save_model",
-    "load_model",
     "save_state",
     "load_state",
     "state_digest",
@@ -86,9 +83,9 @@ def save_state(state: dict[str, np.ndarray], path: str | os.PathLike) -> None:
 def load_state(path: str | os.PathLike) -> dict[str, np.ndarray]:
     """Load and verify a state dict written by :func:`save_state`.
 
-    Raises :class:`ModelFormatError` on truncated or corrupt archives and
-    on unknown format versions.  Legacy archives (no version/digest keys)
-    are returned as-is.
+    Raises :class:`ModelFormatError` on truncated or corrupt archives,
+    on archives without the version/digest header and on unknown format
+    versions.
     """
     path = _npz_path(path)
     try:
@@ -102,39 +99,19 @@ def load_state(path: str | os.PathLike) -> dict[str, np.ndarray]:
         ) from error
     version = state.pop(_VERSION_KEY, None)
     digest = state.pop(_DIGEST_KEY, None)
-    if version is not None:
-        found = int(np.asarray(version).ravel()[0])
-        if found > MODEL_FORMAT_VERSION:
-            raise ModelFormatError(
-                f"model archive {path!r} has format version {found}; "
-                f"this build reads up to {MODEL_FORMAT_VERSION}"
-            )
-    if digest is not None and str(np.asarray(digest).item()) != state_digest(state):
+    if version is None or digest is None:
+        raise ModelFormatError(
+            f"model archive {path!r} has no {_VERSION_KEY}/{_DIGEST_KEY} header"
+        )
+    found = int(np.asarray(version).ravel()[0])
+    if found > MODEL_FORMAT_VERSION:
+        raise ModelFormatError(
+            f"model archive {path!r} has format version {found}; "
+            f"this build reads up to {MODEL_FORMAT_VERSION}"
+        )
+    if str(np.asarray(digest).item()) != state_digest(state):
         raise ModelFormatError(
             f"model archive {path!r} failed its integrity check "
             "(content digest mismatch)"
         )
     return state
-
-
-def save_model(model: Module, path: str | os.PathLike) -> None:
-    """Write a module's ``state_dict`` (parameters + buffers) to ``path``.
-
-    Dots in parameter names are preserved; ``np.savez`` accepts arbitrary
-    string keys.  The write is atomic and the archive is versioned — see
-    the module docstring.
-    """
-    state = model.state_dict()
-    if not state:
-        raise ValueError("model has no parameters or buffers to save")
-    save_state(state, path)
-
-
-def load_model(model: Module, path: str | os.PathLike) -> Module:
-    """Load a state dict saved by :func:`save_model` into ``model``.
-
-    The model must have been constructed with identical hyper-parameters;
-    any shape or key mismatch raises rather than silently truncating.
-    """
-    model.load_state_dict(load_state(path))
-    return model

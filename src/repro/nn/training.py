@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro import obs
 from repro.nn.clipping import clip_grad_norm
 from repro.nn.data import DataLoader
-from repro.nn.losses import Loss
+from repro.nn.losses import MSELoss
 from repro.nn.module import Module
-from repro.nn.optim import Optimizer
+from repro.nn.optim import Adam
 from repro.nn.resilience import (
     CheckpointManager,
     DivergenceError,
@@ -32,9 +31,11 @@ from repro.nn.resilience import (
     capture_fit_state,
     restore_fit_state,
 )
-from repro.nn.schedulers import Scheduler
 
 __all__ = ["History", "EarlyStopping", "NonFiniteLossError", "Trainer"]
+
+#: Global gradient-norm bound applied before every optimizer step.
+GRAD_CLIP_NORM = 5.0
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -56,28 +57,21 @@ class History:
     def epochs(self) -> int:
         return len(self.train_loss)
 
-    @property
-    def best_val_loss(self) -> float:
-        return min(self.val_loss) if self.val_loss else math.inf
-
 
 class EarlyStopping:
     """Stop when validation loss fails to improve for ``patience`` epochs."""
 
-    def __init__(self, patience: int = 10, min_delta: float = 0.0) -> None:
+    def __init__(self, patience: int = 10) -> None:
         if patience < 1:
             raise ValueError("patience must be >= 1")
-        if min_delta < 0:
-            raise ValueError("min_delta must be non-negative")
         self.patience = patience
-        self.min_delta = min_delta
         self.best = math.inf
         self.bad_epochs = 0
         self.best_state: dict[str, np.ndarray] | None = None
 
     def update(self, val_loss: float, model: Module) -> bool:
         """Record the epoch result; return True when training should stop."""
-        if val_loss < self.best - self.min_delta:
+        if val_loss < self.best:
             self.best = val_loss
             self.bad_epochs = 0
             self.best_state = model.state_dict()
@@ -112,41 +106,30 @@ class EarlyStopping:
 
 
 class Trainer:
-    """Generic mini-batch trainer over the explicit forward/backward API.
+    """Mini-batch trainer over the explicit forward/backward API.
 
-    ``forward_fn``/``backward_fn`` hooks let multi-input models (the
-    Adrias performance model takes S, k, mode and Ŝ) plug into the same
-    loop: by default the last array in each batch is the target and the
-    rest are inputs passed positionally.
+    The last array in each batch is the target and the rest are the
+    model's inputs, passed positionally, so multi-input models (the
+    Adrias performance model takes S, k, mode and Ŝ) use the same loop.
+    Gradients are clipped to a global norm of :data:`GRAD_CLIP_NORM`.
     """
 
     def __init__(
         self,
         model: Module,
-        optimizer: Optimizer,
-        loss: Loss,
-        scheduler: Scheduler | None = None,
-        grad_clip: float | None = 5.0,
-        forward_fn: Callable | None = None,
+        optimizer: Adam,
+        loss: MSELoss,
         name: str = "model",
         chaos=None,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
         self.loss = loss
-        self.scheduler = scheduler
-        self.grad_clip = grad_clip
-        self.forward_fn = forward_fn
         #: Label used for observability (metrics/spans) of this fit.
         self.name = name
         #: Optional :class:`repro.faults.training.TrainingChaos` shim that
         #: injects trainer-side faults (NaN gradients) from a FaultPlan.
         self.chaos = chaos
-
-    def _forward(self, inputs: tuple[np.ndarray, ...]) -> np.ndarray:
-        if self.forward_fn is not None:
-            return self.forward_fn(self.model, *inputs)
-        return self.model.forward(*inputs)
 
     def train_epoch(self, loader: DataLoader, epoch: int = 0) -> float:
         """One pass over ``loader``; returns the mean training loss.
@@ -162,7 +145,7 @@ class Trainer:
         for batch in loader:
             *inputs, target = batch
             self.optimizer.zero_grad()
-            pred = self._forward(tuple(inputs))
+            pred = self.model.forward(*inputs)
             loss_value = self.loss.forward(pred, target)
             if not math.isfinite(loss_value):
                 self.model.load_state_dict(entry_state)
@@ -170,8 +153,7 @@ class Trainer:
                     f"non-finite training loss: {loss_value}"
                 )
             self.model.backward(self.loss.backward())
-            if self.grad_clip is not None:
-                clip_grad_norm(self.model.parameters(), self.grad_clip)
+            clip_grad_norm(self.model.parameters(), GRAD_CLIP_NORM)
             if self.chaos is not None:
                 self.chaos.corrupt_gradients(epoch, self.model.parameters())
             self.optimizer.step()
@@ -187,7 +169,7 @@ class Trainer:
         batches = 0
         for batch in loader:
             *inputs, target = batch
-            pred = self._forward(tuple(inputs))
+            pred = self.model.forward(*inputs)
             total += self.loss.forward(pred, target)
             batches += 1
         if batches == 0:
@@ -265,10 +247,6 @@ class Trainer:
                     )
                     continue
                 self._observe_epoch(epoch_span, train_loss, val_loss)
-                if self.scheduler is not None:
-                    self.scheduler.step(
-                        val_loss if val_loss is not None else train_loss
-                    )
                 if verbose:  # pragma: no cover - logging only
                     msg = f"epoch {epoch + 1}/{epochs} train={train_loss:.5f}"
                     if val_loss is not None:

@@ -70,10 +70,6 @@ class DecisionRecord:
         return self.outcome is not None
 
     @property
-    def actual_performance(self) -> float | None:
-        return self.outcome["performance"] if self.outcome else None
-
-    @property
     def prediction_error(self) -> float | None:
         """Signed error (predicted − actual) for the mode that ran."""
         if not self.outcome:

@@ -52,13 +52,6 @@ class Policy(Protocol):
 class _BasePolicy:
     name = "base"
 
-    #: Optional admission safety hook (:class:`repro.serve.SafetyMonitor`
-    #: or anything with ``review_mode(policy, profile, engine, mode)``).
-    #: When set, every decision flows through it after :meth:`decide` and
-    #: may be downgraded before the placement is observed/audited.  The
-    #: ``None`` default keeps the disabled path a single attribute test.
-    safety = None
-
     def decide(self, profile: WorkloadProfile, engine: ClusterEngine) -> MemoryMode:
         raise NotImplementedError
 
@@ -71,8 +64,6 @@ class _BasePolicy:
             acct.lap("policy.decide", t0, nested=acct.recorded - inner)
         else:
             mode = self.decide(profile, engine)
-        if self.safety is not None:
-            mode = self.safety.review_mode(self, profile, engine, mode)
         if obs.enabled():
             self._observe(profile, engine, mode)
         return mode

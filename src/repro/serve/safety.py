@@ -328,25 +328,6 @@ class SafetyMonitor:
             self._clear(constraint.kind, node, clock)
         return verdict
 
-    def review_mode(self, policy, profile, engine, mode: MemoryMode) -> MemoryMode:
-        """``_BasePolicy.safety`` hook: downgrade vetoed remote plans.
-
-        Single-node policies have no local/veto distinction — a plan the
-        envelope rejects (either action) falls back to local memory, and
-        the override is recorded in the policy's audit detail so the
-        decision row carries the constraint as its cause.
-        """
-        verdict = self.review(profile, mode, engine)
-        if verdict.admitted:
-            return mode
-        detail = getattr(policy, "_detail", None)
-        if isinstance(detail, dict):
-            reason = detail.get("reason", "")
-            tag = f"safety-{verdict.action}:{verdict.constraint}"
-            detail["reason"] = f"{reason}+{tag}" if reason else tag
-            detail["cause"] = verdict.constraint
-        return MemoryMode.LOCAL
-
     # -- accounting ----------------------------------------------------------
     def _trip(self, verdict: SafetyVerdict) -> None:
         kind = verdict.constraint

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Identity, LeakyReLU, ReLU, Sigmoid, Tanh
+from repro.nn import ReLU
 from repro.nn.activations import sigmoid
-from tests.helpers import check_input_grad, sigmoid_sign_split
+from tests.helpers import sigmoid_sign_split
 
 
 ARRAYS = st.lists(
@@ -78,47 +78,3 @@ class TestReLU:
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             ReLU().backward(np.zeros((1, 1)))
-
-
-class TestLeakyReLU:
-    def test_negative_slope_applied(self):
-        layer = LeakyReLU(0.1)
-        out = layer.forward(np.array([[-2.0, 4.0]]))
-        assert np.allclose(out, [[-0.2, 4.0]])
-
-    def test_gradient_check(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(3, 4)) + 0.05  # keep away from the kink
-        y = rng.normal(size=(3, 4))
-        check_input_grad(LeakyReLU(0.2), x, y)
-
-    def test_invalid_slope(self):
-        with pytest.raises(ValueError):
-            LeakyReLU(-0.1)
-
-
-class TestSmoothActivations:
-    @pytest.mark.parametrize("layer_cls", [Tanh, Sigmoid])
-    def test_gradient_check(self, layer_cls):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 3))
-        y = rng.normal(size=(4, 3))
-        check_input_grad(layer_cls(), x, y)
-
-    def test_tanh_values(self):
-        out = Tanh().forward(np.array([[0.0, 100.0]]))
-        assert out[0, 0] == pytest.approx(0.0)
-        assert out[0, 1] == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("layer_cls", [Tanh, Sigmoid])
-    def test_backward_before_forward_raises(self, layer_cls):
-        with pytest.raises(RuntimeError):
-            layer_cls().backward(np.zeros((1, 1)))
-
-
-class TestIdentity:
-    def test_passthrough_both_ways(self):
-        layer = Identity()
-        x = np.arange(6.0).reshape(2, 3)
-        assert layer.forward(x) is x
-        assert layer.backward(x) is x

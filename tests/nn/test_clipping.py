@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Parameter, clip_grad_norm, clip_grad_value
+from repro.nn import Parameter, clip_grad_norm
 
 
 class TestClipNorm:
@@ -31,15 +31,3 @@ class TestClipNorm:
     def test_invalid_max_norm(self):
         with pytest.raises(ValueError):
             clip_grad_norm([Parameter(np.zeros(1))], max_norm=0.0)
-
-
-class TestClipValue:
-    def test_clamps_elementwise(self):
-        p = Parameter(np.zeros(3))
-        p.accumulate(np.array([-5.0, 0.5, 5.0]))
-        clip_grad_value([p], clip_value=1.0)
-        assert np.allclose(p.grad, [-1.0, 0.5, 1.0])
-
-    def test_invalid_clip_value(self):
-        with pytest.raises(ValueError):
-            clip_grad_value([Parameter(np.zeros(1))], clip_value=-1.0)

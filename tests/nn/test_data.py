@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.nn import (
-    DataLoader,
-    MinMaxScaler,
-    StandardScaler,
-    TensorDataset,
-    train_test_split,
-)
+from repro.nn import DataLoader, StandardScaler, TensorDataset
 
 
 class TestTensorDataset:
@@ -23,12 +15,6 @@ class TestTensorDataset:
         with pytest.raises(ValueError):
             TensorDataset(np.zeros(3), np.zeros(4))
 
-    def test_subset(self):
-        ds = TensorDataset(np.arange(10))
-        sub = ds.subset([1, 3, 5])
-        assert len(sub) == 3
-        assert np.allclose(sub.arrays[0], [1, 3, 5])
-
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             TensorDataset()
@@ -39,12 +25,6 @@ class TestDataLoader:
         ds = TensorDataset(np.arange(10), np.arange(10))
         batches = list(DataLoader(ds, batch_size=4))
         assert [b[0].shape[0] for b in batches] == [4, 4, 2]
-
-    def test_drop_last(self):
-        ds = TensorDataset(np.arange(10))
-        loader = DataLoader(ds, batch_size=4, drop_last=True)
-        assert len(loader) == 2
-        assert [b[0].shape[0] for b in loader] == [4, 4]
 
     def test_shuffle_covers_all_and_reorders(self):
         ds = TensorDataset(np.arange(100))
@@ -97,54 +77,3 @@ class TestStandardScaler:
     def test_transform_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((2, 2)))
-
-    def test_state_roundtrip(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(10, 2))
-        scaler = StandardScaler().fit(x)
-        clone = StandardScaler.from_state(scaler.state())
-        assert np.allclose(clone.transform(x), scaler.transform(x))
-
-
-class TestMinMaxScaler:
-    @given(
-        data=st.lists(
-            st.floats(min_value=-100, max_value=100, allow_nan=False),
-            min_size=2, max_size=40,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_output_in_unit_interval(self, data):
-        x = np.array(data).reshape(-1, 1)
-        scaled = MinMaxScaler().fit_transform(x)
-        assert np.all(scaled >= -1e-12) and np.all(scaled <= 1 + 1e-12)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(15, 3))
-        scaler = MinMaxScaler().fit(x)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(x)), x)
-
-
-class TestSplit:
-    def test_fraction_respected(self):
-        ds = TensorDataset(np.arange(100))
-        train, test = train_test_split(ds, test_fraction=0.4,
-                                       rng=np.random.default_rng(0))
-        assert len(test) == 40 and len(train) == 60
-
-    def test_partition_is_disjoint_and_complete(self):
-        ds = TensorDataset(np.arange(50))
-        train, test = train_test_split(ds, rng=np.random.default_rng(1))
-        union = sorted(np.concatenate([train.arrays[0], test.arrays[0]]))
-        assert union == list(range(50))
-
-    def test_invalid_fraction(self):
-        ds = TensorDataset(np.arange(10))
-        with pytest.raises(ValueError):
-            train_test_split(ds, test_fraction=1.0)
-
-    def test_tiny_dataset(self):
-        ds = TensorDataset(np.arange(2))
-        train, test = train_test_split(ds, test_fraction=0.5)
-        assert len(train) == 1 and len(test) == 1

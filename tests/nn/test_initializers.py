@@ -20,22 +20,12 @@ class TestXavier:
         assert w.shape == (rows, cols)
         assert np.all(np.abs(w) <= limit)
 
-    def test_normal_std_scales_with_fan(self):
-        rng = np.random.default_rng(0)
-        w = initializers.xavier_normal((500, 500), rng)
-        assert abs(w.std() - np.sqrt(2.0 / 1000)) < 0.01
-
 
 class TestHe:
     def test_uniform_within_limit(self):
         rng = np.random.default_rng(1)
         w = initializers.he_uniform((64, 32), rng)
         assert np.all(np.abs(w) <= np.sqrt(6.0 / 32))
-
-    def test_normal_std(self):
-        rng = np.random.default_rng(2)
-        w = initializers.he_normal((2000, 100), rng)
-        assert abs(w.std() - np.sqrt(2.0 / 100)) < 0.01
 
 
 class TestOrthogonal:
@@ -57,14 +47,6 @@ class TestOrthogonal:
 
 
 class TestMisc:
-    def test_zeros(self):
-        assert np.all(initializers.zeros((3, 2)) == 0)
-
-    def test_uniform_bounds(self):
-        rng = np.random.default_rng(3)
-        w = initializers.uniform((100,), rng, low=-0.5, high=0.25)
-        assert np.all(w >= -0.5) and np.all(w <= 0.25)
-
     def test_empty_shape_raises(self):
         with pytest.raises(ValueError):
             initializers.xavier_uniform((), np.random.default_rng(0))

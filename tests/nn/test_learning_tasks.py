@@ -13,9 +13,9 @@ from repro.nn import (
     DataLoader,
     Linear,
     MSELoss,
+    ReLU,
     Sequential,
     StackedLSTM,
-    Tanh,
     TensorDataset,
     Trainer,
 )
@@ -68,8 +68,8 @@ class TestNonlinearRegression:
         x = rng.uniform(-1, 1, size=(512, 2))
         y = (x[:, 0] * x[:, 1]).reshape(-1, 1)  # multiplicative interaction
         model = Sequential(
-            Linear(2, 24, rng=rng), Tanh(),
-            Linear(24, 24, rng=rng), Tanh(),
+            Linear(2, 24, rng=rng), ReLU(),
+            Linear(24, 24, rng=rng), ReLU(),
             Linear(24, 1, rng=rng),
         )
         trainer = Trainer(model, Adam(model.parameters(), lr=0.01), MSELoss())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Linear
+from repro.nn import Linear, initializers
 from tests.helpers import check_input_grad, check_param_grads
 
 
@@ -13,12 +13,11 @@ class TestForward:
         expected = x @ layer.weight.value.T + layer.bias.value
         assert np.allclose(layer.forward(x), expected)
 
-    def test_no_bias(self):
-        rng = np.random.default_rng(1)
-        layer = Linear(3, 2, bias=False, rng=rng)
-        assert layer.bias is None
-        x = rng.normal(size=(4, 3))
-        assert np.allclose(layer.forward(x), x @ layer.weight.value.T)
+    def test_he_uniform_weights_and_zero_bias(self):
+        layer = Linear(3, 2, rng=np.random.default_rng(1))
+        expected = initializers.he_uniform((2, 3), np.random.default_rng(1))
+        assert np.array_equal(layer.weight.value, expected)
+        assert np.array_equal(layer.bias.value, np.zeros(2))
 
     def test_3d_input_broadcasts_over_time(self):
         rng = np.random.default_rng(2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import HuberLoss, MAELoss, MSELoss
+from repro.nn import MSELoss
 from tests.helpers import numeric_grad
 
 
@@ -26,49 +26,18 @@ class TestMSE:
         assert grad[1, 1] == pytest.approx(num, abs=1e-8)
 
 
-class TestMAE:
-    def test_known_value(self):
-        loss = MAELoss()
-        assert loss.forward(np.array([1.0, -3.0]), np.array([0.0, 0.0])) == pytest.approx(2.0)
-
-    def test_backward_is_scaled_sign(self):
-        loss = MAELoss()
-        loss.forward(np.array([2.0, -2.0]), np.array([0.0, 0.0]))
-        assert np.allclose(loss.backward(), [0.5, -0.5])
-
-
-class TestHuber:
-    def test_quadratic_inside_delta(self):
-        loss = HuberLoss(delta=1.0)
-        assert loss.forward(np.array([0.5]), np.array([0.0])) == pytest.approx(0.125)
-
-    def test_linear_outside_delta(self):
-        loss = HuberLoss(delta=1.0)
-        # 0.5*1^2 + 1*(3-1) = 2.5
-        assert loss.forward(np.array([3.0]), np.array([0.0])) == pytest.approx(2.5)
-
-    def test_backward_clipped(self):
-        loss = HuberLoss(delta=1.0)
-        loss.forward(np.array([5.0, 0.2]), np.array([0.0, 0.0]))
-        assert np.allclose(loss.backward(), [0.5, 0.1])
-
-    def test_invalid_delta(self):
-        with pytest.raises(ValueError):
-            HuberLoss(delta=0.0)
-
-
 class TestValidation:
-    @pytest.mark.parametrize("loss_cls", [MSELoss, MAELoss, HuberLoss])
+    @pytest.mark.parametrize("loss_cls", [MSELoss])
     def test_shape_mismatch_raises(self, loss_cls):
         with pytest.raises(ValueError):
             loss_cls().forward(np.zeros(3), np.zeros(4))
 
-    @pytest.mark.parametrize("loss_cls", [MSELoss, MAELoss, HuberLoss])
+    @pytest.mark.parametrize("loss_cls", [MSELoss])
     def test_empty_raises(self, loss_cls):
         with pytest.raises(ValueError):
             loss_cls().forward(np.zeros(0), np.zeros(0))
 
-    @pytest.mark.parametrize("loss_cls", [MSELoss, MAELoss, HuberLoss])
+    @pytest.mark.parametrize("loss_cls", [MSELoss])
     def test_backward_before_forward_raises(self, loss_cls):
         with pytest.raises(RuntimeError):
             loss_cls().backward()

@@ -62,12 +62,6 @@ class TestSequential:
         assert len(mlp) == 3
         assert isinstance(mlp[1], ReLU)
 
-    def test_append_registers(self):
-        seq = Sequential(Linear(2, 2))
-        seq.append(Linear(2, 2))
-        assert len(seq) == 2
-        assert len(list(seq.parameters())) == 4
-
 
 class TestStateDict:
     def test_roundtrip(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm1d, LayerNorm
+from repro.nn import BatchNorm1d
 from tests.helpers import check_input_grad, check_param_grads
 
 
@@ -51,6 +51,15 @@ class TestBatchNormForward:
         with pytest.raises(ValueError):
             BatchNorm1d(3, momentum=0.0)
 
+    def test_state_dict_includes_running_buffers(self):
+        bn = BatchNorm1d(3)
+        state = bn.state_dict()
+        assert "running_mean" in state and "running_var" in state
+        bn2 = BatchNorm1d(3)
+        bn.forward(np.random.default_rng(9).normal(size=(16, 3)))
+        bn2.load_state_dict(bn.state_dict())
+        assert np.allclose(bn2.running_mean, bn.running_mean)
+
 
 class TestBatchNormBackward:
     def test_param_grads_numerically(self):
@@ -75,35 +84,3 @@ class TestBatchNormBackward:
         x = rng.normal(size=(4, 3))
         y = rng.normal(size=(4, 3))
         check_input_grad(bn, x, y, tol=1e-4)
-
-
-class TestLayerNorm:
-    def test_normalizes_last_axis(self):
-        rng = np.random.default_rng(6)
-        ln = LayerNorm(8)
-        x = rng.normal(loc=3.0, scale=2.0, size=(4, 8))
-        out = ln.forward(x)
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-8)
-
-    def test_3d_input(self):
-        rng = np.random.default_rng(7)
-        ln = LayerNorm(4)
-        x = rng.normal(size=(2, 5, 4))
-        assert ln.forward(x).shape == (2, 5, 4)
-
-    def test_grads_numerically(self):
-        rng = np.random.default_rng(8)
-        ln = LayerNorm(5)
-        x = rng.normal(size=(6, 5))
-        y = rng.normal(size=(6, 5))
-        check_param_grads(ln, (x,), y, tol=1e-4)
-        check_input_grad(ln, x, y, tol=1e-4)
-
-    def test_state_dict_includes_running_buffers(self):
-        bn = BatchNorm1d(3)
-        state = bn.state_dict()
-        assert "running_mean" in state and "running_var" in state
-        bn2 = BatchNorm1d(3)
-        bn.forward(np.random.default_rng(9).normal(size=(16, 3)))
-        bn2.load_state_dict(bn.state_dict())
-        assert np.allclose(bn2.running_mean, bn.running_mean)

@@ -19,7 +19,6 @@ from repro.nn import (
     RecoveryPolicy,
     ReLU,
     Sequential,
-    StepLR,
     TensorDataset,
     Trainer,
     TrainingDivergedError,
@@ -37,16 +36,14 @@ def dataset(n=64, seed=42):
     return TensorDataset(x, x @ w + 0.1 * rng.normal(size=(n, 1)))
 
 
-def make_parts(seed=0, lr=1e-2, dropout=0.2, scheduler=True):
+def make_parts(seed=0, lr=1e-2, dropout=0.2):
     """(trainer, loader, val_loader, early_stopping) with shared dropout RNG."""
     rng = np.random.default_rng(seed)
     model = Sequential(
         Linear(4, 16, rng=rng), ReLU(), Dropout(dropout, rng=rng),
         Linear(16, 1, rng=rng),
     )
-    opt = Adam(model.parameters(), lr=lr)
-    sched = StepLR(opt, step_size=3, gamma=0.5) if scheduler else None
-    trainer = Trainer(model, opt, MSELoss(), scheduler=sched)
+    trainer = Trainer(model, Adam(model.parameters(), lr=lr), MSELoss())
     ds = dataset()
     loader = DataLoader(ds, batch_size=16, shuffle=True,
                         rng=np.random.default_rng(7))
@@ -69,16 +66,18 @@ class TestFitStateRoundTrip:
         for p in trainer.model.parameters():
             p.value[...] = 0.0
         trainer.optimizer.lr = 123.0
-        trainer.scheduler.epoch = 99
+        trainer.optimizer.step()
         loader.rng = np.random.default_rng(999)
         restore_fit_state(trainer, loader, history, es, state)
-        assert trainer.optimizer.lr != 123.0
-        assert trainer.scheduler.epoch == 3
+        assert trainer.optimizer.lr == 1e-2
         again = capture_fit_state(trainer, loader, history, es, epoch_next=3)
         for key in state.model:
             assert np.array_equal(state.model[key], again.model[key])
         assert state.rngs == again.rngs
-        assert state.scheduler == again.scheduler
+        assert again.optimizer["extra"] == state.optimizer["extra"]
+        for slot, arrays in state.optimizer["slots"].items():
+            for a, b in zip(arrays, again.optimizer["slots"][slot]):
+                assert np.array_equal(a, b)
 
     def test_encode_decode_roundtrip(self):
         trainer, loader, val, es = make_parts()
@@ -96,14 +95,6 @@ class TestFitStateRoundTrip:
                             decoded.optimizer["slots"][slot]):
                 assert np.array_equal(a, b)
         assert decoded.early_stopping["best"] == es.best
-
-    def test_scheduler_mismatch_raises(self):
-        trainer, loader, val, es = make_parts(scheduler=False)
-        state = capture_fit_state(trainer, loader, History(), None,
-                                  epoch_next=0)
-        other, loader2, _, _ = make_parts(scheduler=True)
-        with pytest.raises(FitCheckpointError, match="scheduler"):
-            restore_fit_state(other, loader2, History(), None, state)
 
     def test_early_stopping_mismatch_raises(self):
         trainer, loader, val, es = make_parts()
@@ -261,8 +252,7 @@ class TestDivergenceRecovery:
         assert history.epochs == 5
         assert all(np.all(np.isfinite(p.value))
                    for p in trainer.model.parameters())
-        # base_lr was halved once; the scheduler recomputes lr from it.
-        assert trainer.scheduler.base_lr == pytest.approx(base_lr * 0.5)
+        assert trainer.optimizer.lr == base_lr * 0.5  # cut once
 
     def test_budget_exhaustion_raises(self):
         class AlwaysNan(NanGradChaos):

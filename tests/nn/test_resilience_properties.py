@@ -25,7 +25,6 @@ from repro.nn import (  # noqa: E402
     MSELoss,
     ReLU,
     Sequential,
-    StepLR,
     TensorDataset,
     Trainer,
 )
@@ -39,9 +38,7 @@ def make_parts(seed):
     model = Sequential(
         Linear(3, 8, rng=rng), ReLU(), Dropout(0.1, rng=rng), Linear(8, 1, rng=rng)
     )
-    opt = Adam(model.parameters(), lr=1e-2)
-    trainer = Trainer(model, opt, MSELoss(),
-                      scheduler=StepLR(opt, step_size=2, gamma=0.5))
+    trainer = Trainer(model, Adam(model.parameters(), lr=1e-2), MSELoss())
     data_rng = np.random.default_rng(seed + 1)
     x = data_rng.normal(size=(48, 3))
     ds = TensorDataset(x, x @ np.ones((3, 1)))

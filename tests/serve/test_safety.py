@@ -10,7 +10,6 @@ from repro.cluster.fleet import ClusterFleet
 from repro.faults.breaker import CircuitBreaker
 from repro.hardware.pool import RemotePoolConfig
 from repro.obs.live.slo import SloEngine
-from repro.orchestrator.policies import InterferenceThresholdPolicy
 from repro.serve.safety import (
     SafetyConfigError,
     SafetyConstraint,
@@ -265,19 +264,3 @@ class TestObservability:
         ]
         kinds = [r.get("kind") for r in records if r.get("t") == "event"]
         assert "safety_clear" in kinds
-
-
-class TestPolicyHook:
-    def test_base_policy_consults_safety_hook(self):
-        policy = InterferenceThresholdPolicy(max_link_utilization=1.0)
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=100.0)
-        breaker.record_failure(0.0)
-        policy.safety = SafetyMonitor(
-            SafetyEnvelope((SafetyConstraint("breaker_closed"),)),
-            breaker=breaker,
-        )
-        engine = ClusterEngine()
-        assert policy(profile_be(), engine) is MemoryMode.LOCAL
-        breaker.record_success(0.0)
-        policy.safety = None
-        assert policy(profile_be(), engine) is MemoryMode.REMOTE
