@@ -90,23 +90,23 @@ def main() -> int:
     process, port = spawn(out, plan_path, ckpt)
     statuses: dict[str, int] = {}
     try:
-        client = DaemonClient(host="127.0.0.1", port=port, retries=10,
-                              jitter_seed=7)
-        for index in range(args.deployments):
-            # Long durations keep work in flight through the crash onset.
-            response = client.deploy(
-                APPS[index % len(APPS)], duration=600.0
-            )
-            status = response.get("status", "error")
-            statuses[status] = statuses.get(status, 0) + 1
-        # Let the detector pass the crash onset before reading health.
-        deadline = time.monotonic() + 20.0
-        while time.monotonic() < deadline:
-            health = client.health()
-            if health.get("node_health", {}).get("n1") == "down":
-                break
-            time.sleep(0.1)
-        client.request({"op": "drain", "reason": "chaos soak complete"})
+        with DaemonClient(host="127.0.0.1", port=port, retries=10,
+                          jitter_seed=7) as client:
+            for index in range(args.deployments):
+                # Long durations keep work in flight through the crash onset.
+                response = client.deploy(
+                    APPS[index % len(APPS)], duration=600.0
+                )
+                status = response.get("status", "error")
+                statuses[status] = statuses.get(status, 0) + 1
+            # Let the detector pass the crash onset before reading health.
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline:
+                health = client.health()
+                if health.get("node_health", {}).get("n1") == "down":
+                    break
+                time.sleep(0.1)
+            client.request({"op": "drain", "reason": "chaos soak complete"})
     finally:
         if process.poll() is None and not process.stdout.closed:
             for line in process.stdout:

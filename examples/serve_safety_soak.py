@@ -97,13 +97,13 @@ def main() -> int:
     process, port = spawn(out, env_path, plan_path, ckpt)
     statuses: dict[str, int] = {}
     try:
-        client = DaemonClient(host="127.0.0.1", port=port, retries=10)
-        for index in range(args.deployments):
-            response = client.deploy(APPS[index % len(APPS)])
-            status = response.get("status", "error")
-            statuses[status] = statuses.get(status, 0) + 1
-        health = client.health()
-        client.request({"op": "drain", "reason": "soak complete"})
+        with DaemonClient(host="127.0.0.1", port=port, retries=10) as client:
+            for index in range(args.deployments):
+                response = client.deploy(APPS[index % len(APPS)])
+                status = response.get("status", "error")
+                statuses[status] = statuses.get(status, 0) + 1
+            health = client.health()
+            client.request({"op": "drain", "reason": "soak complete"})
     finally:
         if process.poll() is None and not process.stdout.closed:
             for line in process.stdout:

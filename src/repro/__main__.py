@@ -690,32 +690,32 @@ def main(argv: list[str] | None = None) -> int:
 
         from repro.serve import DaemonClient, DaemonClientError
 
-        client = DaemonClient(
-            host=args.host, port=args.port,
-            timeout_s=args.timeout, retries=args.retries,
-        )
         try:
-            if args.client_op == "deploy":
-                if args.app is None:
-                    print("client deploy requires --app", file=sys.stderr)
-                    return 2
-                responses = [
-                    client.deploy(args.app, duration=args.duration)
-                    for _ in range(max(1, args.count))
-                ]
-                for response in responses:
-                    print(_json.dumps(response))
-                return 0 if all(r.get("ok") for r in responses) else 1
-            if args.client_op in ("complete", "query"):
-                if args.req_id is None:
-                    print(f"client {args.client_op} requires --id",
-                          file=sys.stderr)
-                    return 2
-                response = getattr(client, args.client_op)(args.req_id)
-            elif args.client_op == "tick":
-                response = client.tick(args.n)
-            else:
-                response = getattr(client, args.client_op)()
+            with DaemonClient(
+                host=args.host, port=args.port,
+                timeout_s=args.timeout, retries=args.retries,
+            ) as client:
+                if args.client_op == "deploy":
+                    if args.app is None:
+                        print("client deploy requires --app", file=sys.stderr)
+                        return 2
+                    responses = [
+                        client.deploy(args.app, duration=args.duration)
+                        for _ in range(max(1, args.count))
+                    ]
+                    for response in responses:
+                        print(_json.dumps(response))
+                    return 0 if all(r.get("ok") for r in responses) else 1
+                if args.client_op in ("complete", "query"):
+                    if args.req_id is None:
+                        print(f"client {args.client_op} requires --id",
+                              file=sys.stderr)
+                        return 2
+                    response = getattr(client, args.client_op)(args.req_id)
+                elif args.client_op == "tick":
+                    response = client.tick(args.n)
+                else:
+                    response = getattr(client, args.client_op)()
         except DaemonClientError as error:
             print(str(error), file=sys.stderr)
             return 2

@@ -189,7 +189,6 @@ class PerformancePredictor:
         lr: float = 1e-3,
         val_fraction: float = 0.15,
         patience: int = 20,
-        verbose: bool = False,
         chaos=None,
         recovery=None,
         checkpoint=None,
@@ -246,7 +245,6 @@ class PerformancePredictor:
             DataLoader(val, batch_size=batch_size),
             epochs=epochs,
             early_stopping=EarlyStopping(patience=patience),
-            verbose=verbose,
             checkpoint=checkpoint,
             resume=resume,
             recovery=recovery,

@@ -146,7 +146,6 @@ class SystemStatePredictor:
         lr: float = 1e-3,
         val_fraction: float = 0.15,
         patience: int = 12,
-        verbose: bool = False,
         chaos=None,
         recovery=None,
         checkpoint=None,
@@ -189,7 +188,6 @@ class SystemStatePredictor:
             DataLoader(val, batch_size=batch_size),
             epochs=epochs,
             early_stopping=EarlyStopping(patience=patience),
-            verbose=verbose,
             checkpoint=checkpoint,
             resume=resume,
             recovery=recovery,

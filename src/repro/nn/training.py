@@ -182,7 +182,6 @@ class Trainer:
         val_loader: DataLoader | None = None,
         epochs: int = 50,
         early_stopping: EarlyStopping | None = None,
-        verbose: bool = False,
         checkpoint: CheckpointManager | None = None,
         resume: bool = False,
         recovery: RecoveryPolicy | None = None,
@@ -247,11 +246,6 @@ class Trainer:
                     )
                     continue
                 self._observe_epoch(epoch_span, train_loss, val_loss)
-                if verbose:  # pragma: no cover - logging only
-                    msg = f"epoch {epoch + 1}/{epochs} train={train_loss:.5f}"
-                    if val_loss is not None:
-                        msg += f" val={val_loss:.5f}"
-                    print(msg)
                 epoch += 1
                 if early_stopping is not None and val_loss is not None:
                     stopped = early_stopping.update(val_loss, self.model)

@@ -51,6 +51,9 @@ class DecisionRecord:
     predicted: dict[str, float] = field(default_factory=dict)
     #: Decision margin: BE slack = β·t̂_remote − t̂_local (positive ⇒
     #: local wins); LC slack = QoS − p̂99_remote (positive ⇒ offload OK).
+    #: A safety override (``safety-veto``/``safety-downgrade`` row) has
+    #: the tripped constraint's limit − measured value: negative, by how
+    #: far the placement was past its limit.
     margin: float | None = None
     beta: float | None = None
     qos_ms: float | None = None

@@ -78,7 +78,6 @@ def train_predictor(
     feature_config: FeatureConfig | None = None,
     traces: list[Trace] | None = None,
     signatures: SignatureLibrary | None = None,
-    verbose: bool = False,
 ) -> Predictor:
     """Run the full offline phase and return a ready Predictor.
 
@@ -99,10 +98,7 @@ def train_predictor(
 
     system_state = SystemStatePredictor(feature_config=config, seed=budget.seed)
     ss_data = build_system_state_dataset(traces, config, stride_s=budget.stride_s)
-    system_state.fit(
-        ss_data.windows, ss_data.targets,
-        epochs=budget.epochs_system, verbose=verbose,
-    )
+    system_state.fit(ss_data.windows, ss_data.targets, epochs=budget.epochs_system)
 
     models: dict[WorkloadKind, PerformancePredictor | None] = {}
     for kind in (WorkloadKind.BEST_EFFORT, WorkloadKind.LATENCY_CRITICAL):
@@ -118,7 +114,7 @@ def train_predictor(
         future = system_state.predict(data.state)
         predictor.fit(
             data.state, data.signature, data.mode, future, data.targets,
-            epochs=budget.epochs_performance, verbose=verbose,
+            epochs=budget.epochs_performance,
         )
         models[kind] = predictor
 

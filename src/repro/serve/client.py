@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import select
 import socket
 import time
 
@@ -15,11 +16,18 @@ class DaemonClientError(RuntimeError):
 
 
 class DaemonClient:
-    """One-request-per-call client with reconnect-retry.
+    """Retrying client that keeps one connection to the daemon.
 
-    The daemon's ``conn_drop`` fault windows sever connections *before*
-    a request is processed (at-most-once), so blind retries are safe:
-    a dropped deploy was never admitted.
+    The first request connects; later requests reuse the socket while
+    the daemon keeps it open.  Any failure (an OSError, EOF before a
+    full line, bad JSON) closes it, so the next attempt reconnects.  The
+    daemon closes a connection only before it handles a line (its
+    ``conn_drop`` fault windows, at-most-once) or after it has answered
+    one (error replies, drain), so retrying a dropped request is safe: a
+    dropped deploy was never admitted.  A request whose answer timed out
+    may still run, so its retry may run it twice.  One client is one
+    connection and sends one request at a time: do not share it across
+    threads.
     """
 
     def __init__(
@@ -46,10 +54,39 @@ class DaemonClient:
         self._jitter_rng = random.Random(
             port if jitter_seed is None else jitter_seed
         )
+        self._sock: socket.socket | None = None
+
+    def __enter__(self) -> DaemonClient:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the connection; the next request opens a new one."""
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def _backoff(self, attempt: int) -> float:
         """Linear backoff with up to +50% seeded jitter per attempt."""
         return self.backoff_s * attempt * (1.0 + 0.5 * self._jitter_rng.random())
+
+    def _connection(self) -> socket.socket:
+        """The open connection, or a new one.
+
+        An idle connection has nothing to read unless the daemon closed
+        or reset it (a drain, then perhaps a restart on the same port),
+        so a readable one is replaced before it costs an attempt.
+        """
+        if self._sock is not None and select.select([self._sock], [], [], 0)[0]:
+            self.close()
+        if self._sock is None:
+            self._sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout_s
+            )
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return self._sock
 
     def request(self, payload: dict) -> dict:
         """Send one request; retries dropped/failed connections."""
@@ -59,13 +96,11 @@ class DaemonClient:
             if attempt:
                 self.sleep(self._backoff(attempt))
             try:
-                with socket.create_connection(
-                    (self.host, self.port), timeout=self.timeout_s
-                ) as sock:
-                    sock.sendall(line)
-                    raw = self._read_line(sock)
-                return json.loads(raw)
+                sock = self._connection()
+                sock.sendall(line)
+                return json.loads(self._read_line(sock))
             except (OSError, json.JSONDecodeError, EOFError) as error:
+                self.close()
                 last_error = error
         raise DaemonClientError(
             f"daemon at {self.host}:{self.port} unreachable after "

@@ -461,7 +461,7 @@ class OrchestratorDaemon:
                     self.counters["downgraded"] += 1
                     self._audit_safety(
                         profile, engine, "local",
-                        f"safety-downgrade:{constraint}", constraint,
+                        f"safety-downgrade:{constraint}", verdict,
                     )
                     return FleetDecision(index, MemoryMode.LOCAL), None
         # Veto action, or a downgrade with no local headroom anywhere.
@@ -470,7 +470,7 @@ class OrchestratorDaemon:
         engine = self.fleet.engines[decision.node_index]
         node = verdict.detail.get("node", engine.node_label or "n0")
         row = self._audit_safety(
-            profile, engine, "none", f"safety-veto:{constraint}", constraint
+            profile, engine, "none", f"safety-veto:{constraint}", verdict
         )
         obs.audit().disarm(engine, row)  # a veto places nothing to join
         entry = self._new_entry(
@@ -484,17 +484,17 @@ class OrchestratorDaemon:
             "detail": dict(verdict.detail),
         }
 
-    def _audit_safety(
-        self, profile, engine, chosen: str, reason: str, cause: str
-    ):
+    def _audit_safety(self, profile, engine, chosen: str, reason: str, verdict):
+        """Audit a veto or downgrade; its margin is limit − measured value."""
         return obs.audit().record(
             engine=engine,
             policy=self.scheduler.name,
             app_name=profile.name,
             kind=profile.kind.value,
             chosen_mode=chosen,
+            margin=verdict.detail["limit"] - verdict.detail["value"],
             reason=reason,
-            cause=cause,
+            cause=verdict.constraint,
         )
 
     def _op_complete(self, data: dict) -> dict:

@@ -235,12 +235,17 @@ class TestSafetyIntegration:
             r.reason == "safety-veto:max_concurrent_remote" for r in audited
         )
         assert all(r.chosen_mode == "none" for r in audited)
-        # Each row names the node the verdict judged, as its ledger entry does.
+        # Each row names the node the verdict judged, as its ledger entry
+        # does, and how far past the limit it was: a second remote
+        # deployment against a limit of one.
         for row, response in zip(audited, vetoed):
             assert row.node == daemon.ledger[response["id"]]["node"]
             assert row.node == response["detail"]["node"]
+            detail = response["detail"]
+            assert row.margin == detail["limit"] - detail["value"] == -1.0
 
     def test_downgrade_lands_locally(self, clock):
+        obs.enable()
         envelope = SafetyEnvelope(
             (
                 SafetyConstraint(
@@ -257,6 +262,13 @@ class TestSafetyIntegration:
         assert daemon.counters["downgraded"] == len(downgraded)
         assert daemon.counters["vetoed"] == 0
         assert all(r["ok"] for r in responses)
+        rows = [
+            r for r in obs.audit().records
+            if r.reason == "safety-downgrade:max_concurrent_remote"
+        ]
+        assert len(rows) == len(downgraded) >= 1
+        # One remote deployment in flight: the second is one past the limit.
+        assert [r.margin for r in rows] == [-1.0] * len(rows)
 
     @pytest.mark.parametrize("action", ["veto", "downgrade"])
     def test_override_joins_only_what_was_placed(self, clock, action):
