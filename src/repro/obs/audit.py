@@ -53,7 +53,8 @@ class DecisionRecord:
     #: local wins); LC slack = QoS − p̂99_remote (positive ⇒ offload OK).
     #: A safety override (``safety-veto``/``safety-downgrade`` row) has
     #: the tripped constraint's limit − measured value: negative, by how
-    #: far the placement was past its limit.
+    #: far the placement was past its limit; None for ``breaker_closed``,
+    #: which has no limit.
     margin: float | None = None
     beta: float | None = None
     qos_ms: float | None = None

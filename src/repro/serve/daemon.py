@@ -485,14 +485,16 @@ class OrchestratorDaemon:
         }
 
     def _audit_safety(self, profile, engine, chosen: str, reason: str, verdict):
-        """Audit a veto or downgrade; its margin is limit − measured value."""
+        """Audit a veto or downgrade; its margin is limit − measured value,
+        or None for a constraint without a limit (``breaker_closed``)."""
+        limit = verdict.detail["limit"]
         return obs.audit().record(
             engine=engine,
             policy=self.scheduler.name,
             app_name=profile.name,
             kind=profile.kind.value,
             chosen_mode=chosen,
-            margin=verdict.detail["limit"] - verdict.detail["value"],
+            margin=None if limit is None else limit - verdict.detail["value"],
             reason=reason,
             cause=verdict.constraint,
         )

@@ -354,6 +354,59 @@ class TestFaultPlan:
         clock.advance(daemon.config.tick_interval_s)
         assert daemon.pump() is True
 
+    @pytest.mark.parametrize("action", ["downgrade", "veto"])
+    def test_open_breaker_gates_remote_deploys(self, clock, action):
+        """While the watchdog's restart holds the breaker open, a deploy
+        bound for remote memory is downgraded (the sample envelope) or
+        vetoed; its audit row has no margin, as breaker_closed has no
+        limit."""
+        obs.enable()
+        envelope = (
+            SafetyEnvelope.sample() if action == "downgrade"
+            else SafetyEnvelope((SafetyConstraint("breaker_closed"),))
+        )
+        daemon = make_daemon(
+            clock,
+            envelope=envelope,
+            plan=self.plan(),
+            watchdog_timeout_s=2.0,
+            breaker_cooldown_s=10.0,
+        )
+        pump_until(
+            daemon, clock, lambda d: d.counters["watchdog_restarts"] == 1
+        )
+        assert daemon.breaker.state.value == "open"
+        response = daemon.handle_line(
+            json.dumps({"op": "deploy", "app": "redis"})
+        )
+        assert "error" not in response, response
+        statuses = Counter(e["status"] for e in daemon.ledger.values())
+        (row,) = [r for r in obs.audit().records if r.cause == "breaker_closed"]
+        assert row.margin is None
+        if action == "downgrade":
+            assert response["ok"] is True
+            assert (response["status"], response["mode"]) == ("running", "local")
+            assert daemon.counters["downgraded"] == 1
+            assert daemon.monitor.downgrades == {"breaker_closed": 1}
+            assert statuses == {"running": daemon.counters["submitted"]} == {
+                "running": 1
+            }
+            assert (row.reason, row.chosen_mode) == (
+                "safety-downgrade:breaker_closed", "local",
+            )
+        else:
+            assert response["ok"] is False
+            assert response["status"] == "vetoed"
+            assert response["constraint"] == "breaker_closed"
+            assert response["detail"]["limit"] is None
+            assert daemon.counters["vetoed"] == 1
+            assert daemon.counters["submitted"] == 0
+            assert daemon.monitor.vetoes == {"breaker_closed": 1}
+            assert statuses == {"vetoed": 1}
+            assert (row.reason, row.chosen_mode) == (
+                "safety-veto:breaker_closed", "none",
+            )
+
 
 class TestCheckpoint:
     def test_save_restore_save_is_bit_identical(self, clock, tmp_path):
