@@ -85,7 +85,6 @@ class DaemonClient:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.timeout_s
             )
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return self._sock
 
     def request(self, payload: dict) -> dict:
